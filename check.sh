@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 check: build, full test suite, a determinism smoke — the
 # plan/execute/render pipeline must print byte-identical output whether
-# the execute stage runs on 1 domain or 4 — a cold/warm store equivalence
+# the execute stage runs on 1 domain or 4, and that output must match the
+# committed golden digest — a cold/warm store equivalence
 # gate, a serving-simulator gate (deterministic across -j, warm rerun
 # fully store-served), a fault-injection gate (injected faults must not
 # change a single output byte, and the chaos drills must pass), and a
@@ -38,6 +39,27 @@ if ! diff -u "$out1" "$out4"; then
   exit 1
 fi
 echo "byte-identical."
+
+echo "== golden digest: run-all output must match the committed md5 =="
+# The diffs in this script compare one build with itself; this gate pins
+# the output across commits.  A change that moves any byte must bump the
+# simulator fingerprint and re-record test/golden/run_all_scale0.05.md5.
+golden=test/golden/run_all_scale0.05.md5
+fpdir=$(mktemp -d)
+fingerprint=$(MMSTUDY_CACHE_DIR="$fpdir" $MMSTUDY cache stats | sed -n 's/^fingerprint: *//p')
+rm -rf "$fpdir"
+want_fp=$(sed -n 's/^fingerprint //p' "$golden")
+want_md5=$(sed -n 's/^md5 //p' "$golden")
+got_md5=$(md5sum < "$out4" | cut -d' ' -f1)
+if [ "$fingerprint" != "$want_fp" ]; then
+  echo "FAIL: simulator fingerprint $fingerprint, $golden records $want_fp" >&2
+  exit 1
+fi
+if [ "$got_md5" != "$want_md5" ]; then
+  echo "FAIL: run-all md5 $got_md5, $golden records $want_md5" >&2
+  exit 1
+fi
+echo "md5 $got_md5 matches $golden."
 
 echo "== store smoke: cold vs warm run must be byte-identical =="
 # Two fresh processes over one fresh store: the first simulates everything

@@ -38,7 +38,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   p : params;
-  pid : int;
+  owner : string;  (* "<params owner>[pid]", formatted once *)
   code_base : int;
   bins : int;  (* base address of bin head nodes *)
   nbins : int;  (* sized bins *)
@@ -49,11 +49,16 @@ type t = {
   mutable mmapped_live : (int * int) list;  (* (chunk, bytes) *)
 }
 
-let owner_of t = Printf.sprintf "%s[%d]" t.p.owner t.pid
-
+(* The search loops below are while-loops over refs rather than local
+   recursive functions: those capture their free variables in a closure
+   allocated on every call, and these run on every malloc. *)
 let log2_ceil n =
-  let rec go acc p = if p >= n then acc else go (acc + 1) (p * 2) in
-  go 0 1
+  let acc = ref 0 and p = ref 1 in
+  while !p < n do
+    incr acc;
+    p := !p * 2
+  done;
+  !acc
 
 let bin_count p = small_bins + (log2_ceil p.block_size - 9)
 
@@ -121,7 +126,7 @@ let new_block t =
   Memory.instr t.mem 80;
   let bytes = t.p.block_size in
   let base =
-    Os.mmap t.os ~owner:(owner_of t) ~bytes ~align:64
+    Os.mmap t.os ~owner:t.owner ~bytes ~align:64
       ~large_pages:t.p.large_pages
   in
   t.block_list <- (base, bytes) :: t.block_list;
@@ -139,7 +144,7 @@ let create p ~os ~mem ~pid ~code_base =
       mem;
       os;
       p;
-      pid;
+      owner;
       code_base;
       bins;
       nbins;
@@ -211,31 +216,26 @@ let process_unsorted t nb =
 (* First fit inside one bin; exact-size small bins never iterate. *)
 let search_bin t i nb =
   let head = bin_node t i in
-  let rec walk node =
-    if node = head then 0
-    else begin
-      Memory.instr t.mem 4;
-      let chunk = chunk_of_node node in
-      let csize = size_of (load_header t chunk) in
-      if csize >= nb then chunk
-      else walk (Memory.load_word t.mem ~addr:node)
-    end
-  in
-  walk (Memory.load_word t.mem ~addr:head)
+  let node = ref (Memory.load_word t.mem ~addr:head) in
+  let found = ref 0 in
+  while !found = 0 && !node <> head do
+    Memory.instr t.mem 4;
+    let chunk = chunk_of_node !node in
+    let csize = size_of (load_header t chunk) in
+    if csize >= nb then found := chunk
+    else node := Memory.load_word t.mem ~addr:!node
+  done;
+  !found
 
 let malloc_from_bins t nb =
-  let start = bin_of t nb in
-  let rec scan i =
-    if i > t.nbins - 1 then 0
-    else begin
-      Memory.instr t.mem 2;
-      if bin_is_empty t i then scan (i + 1)
-      else
-        let chunk = search_bin t i nb in
-        if chunk = 0 then scan (i + 1) else chunk
-    end
-  in
-  scan start
+  let i = ref (bin_of t nb) in
+  let found = ref 0 in
+  while !found = 0 && !i <= t.nbins - 1 do
+    Memory.instr t.mem 2;
+    if not (bin_is_empty t !i) then found := search_bin t !i nb;
+    incr i
+  done;
+  !found
 
 let malloc t ~size =
   assert (size > 0);
@@ -247,7 +247,7 @@ let malloc t ~size =
     Memory.instr t.mem 60;
     touch t ~offset:1024 ~lines:3;
     let chunk =
-      Os.mmap t.os ~owner:(owner_of t) ~bytes:nb ~align:64
+      Os.mmap t.os ~owner:t.owner ~bytes:nb ~align:64
         ~large_pages:t.p.large_pages
     in
     store_header t chunk (nb lor cur_inuse lor mmapped lor prev_inuse);
@@ -291,7 +291,7 @@ let free t ~addr =
   if h land mmapped <> 0 then begin
     let bytes = size_of h in
     t.mmapped_live <- List.filter (fun (c, _) -> c <> chunk) t.mmapped_live;
-    Os.munmap t.os ~owner:(owner_of t) ~addr:chunk ~bytes;
+    Os.munmap t.os ~owner:t.owner ~addr:chunk ~bytes;
     t.live <- t.live - 1
   end
   else begin
@@ -366,12 +366,12 @@ let free_all t =
   List.iter
     (fun (chunk, bytes) ->
       Memory.instr t.mem 20;
-      Os.munmap t.os ~owner:(owner_of t) ~addr:chunk ~bytes)
+      Os.munmap t.os ~owner:t.owner ~addr:chunk ~bytes)
     t.mmapped_live;
   t.mmapped_live <- [];
   t.live <- 0
 
-let consumption t = Os.claimed_bytes t.os ~owner:(owner_of t)
+let consumption t = Os.claimed_bytes t.os ~owner:t.owner
 
 let live_objects t = t.live
 

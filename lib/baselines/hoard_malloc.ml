@@ -35,9 +35,15 @@ let large_flag = 1 lsl 60
 (* Power-of-two classes 8..4096. *)
 let nclasses = 10
 
+(* A loop, not a local recursive function: that would allocate a closure
+   over [size] on every malloc. *)
 let class_of_size size =
-  let rec go c s = if s >= size then c else go (c + 1) (s * 2) in
-  go 0 8
+  let c = ref 0 and s = ref 8 in
+  while !s < size do
+    incr c;
+    s := !s * 2
+  done;
+  !c
 
 let size_of_class c = 8 lsl c
 
@@ -47,14 +53,12 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  pid : int;
+  owner : string;  (* "name[pid]", formatted once *)
   code_base : int;
   meta : int;  (* avail_head[c] at meta+8c, empty_cache[c] at meta+8(n+c) *)
   mutable live : int;
   mutable sbs : int;
 }
-
-let owner t = Printf.sprintf "%s[%d]" name t.pid
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let owner = Printf.sprintf "%s[%d]" name pid in
@@ -62,7 +66,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
     Os.mmap os ~owner ~bytes:(16 * nclasses) ~align:64 ~large_pages:false
   in
   Memory.memset mem ~addr:meta ~bytes:(16 * nclasses) ~value:0;
-  { mem; os; cfg = config; pid; code_base; meta; live = 0; sbs = 0 }
+  { mem; os; cfg = config; owner; code_base; meta; live = 0; sbs = 0 }
 
 let avail_head t c = t.meta + (8 * c)
 
@@ -105,7 +109,7 @@ let new_superblock t c =
     else begin
       Memory.instr t.mem 40;
       let sb =
-        Os.mmap t.os ~owner:(owner t) ~bytes:t.cfg.superblock_size
+        Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.superblock_size
           ~align:t.cfg.superblock_size ~large_pages:t.cfg.large_pages
       in
       t.sbs <- t.sbs + 1;
@@ -129,7 +133,7 @@ let malloc t ~size =
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + header in
     let sb =
-      Os.mmap t.os ~owner:(owner t) ~bytes ~align:t.cfg.superblock_size
+      Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.superblock_size
         ~large_pages:t.cfg.large_pages
     in
     Memory.store_word t.mem ~addr:(sb + 24) ~value:(bytes lor large_flag);
@@ -177,7 +181,7 @@ let free t ~addr =
     Memory.instr t.mem 40;
     touch t ~offset:2560 ~lines:2;
     let bytes = cw land lnot large_flag in
-    Os.munmap t.os ~owner:(owner t) ~addr:sb ~bytes;
+    Os.munmap t.os ~owner:t.owner ~addr:sb ~bytes;
     t.live <- t.live - 1
   end
   else begin
@@ -202,7 +206,7 @@ let free t ~addr =
       if cached = 0 then
         Memory.store_word t.mem ~addr:(empty_cache t c) ~value:sb
       else begin
-        Os.munmap t.os ~owner:(owner t) ~addr:sb
+        Os.munmap t.os ~owner:t.owner ~addr:sb
           ~bytes:t.cfg.superblock_size;
         t.sbs <- t.sbs - 1
       end
@@ -239,7 +243,7 @@ let realloc t ~addr ~size =
 
 let free_all (_ : t) = invalid_arg "hoard has no bulk free"
 
-let consumption t = Os.claimed_bytes t.os ~owner:(owner t)
+let consumption t = Os.claimed_bytes t.os ~owner:t.owner
 
 let live_objects t = t.live
 

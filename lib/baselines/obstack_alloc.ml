@@ -30,7 +30,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  pid : int;
+  owner : string;  (* "name[pid]", formatted once *)
   code_base : int;
   mutable head_chunk : int;  (* most recent chunk base; 0 if none *)
   mutable bump : int;
@@ -40,14 +40,12 @@ type t = {
   sizes : (int, int) Hashtbl.t;
 }
 
-let owner t = Printf.sprintf "%s[%d]" name t.pid
-
 let round8 n = (n + 7) land lnot 7
 
 let new_chunk t ~payload_bytes =
   let bytes = Stdlib.max t.cfg.chunk_size (payload_bytes + chunk_header) in
   let base =
-    Os.mmap t.os ~owner:(owner t) ~bytes ~align:64
+    Os.mmap t.os ~owner:t.owner ~bytes ~align:64
       ~large_pages:t.cfg.large_pages
   in
   (* Chain the new chunk in front and record its limit in its header. *)
@@ -64,7 +62,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
       mem;
       os;
       cfg = config;
-      pid;
+      owner = Printf.sprintf "%s[%d]" name pid;
       code_base;
       head_chunk = 0;
       bump = 0;
@@ -120,7 +118,7 @@ let free_all t =
       let limit = Memory.load_word t.mem ~addr:(chunk + 8) in
       if next <> 0 then
         (* Keep the oldest chunk (next = 0) as the obstack's base chunk. *)
-        Os.munmap t.os ~owner:(owner t) ~addr:chunk ~bytes:(limit - chunk)
+        Os.munmap t.os ~owner:t.owner ~addr:chunk ~bytes:(limit - chunk)
       else begin
         t.head_chunk <- chunk;
         t.bump <- chunk + chunk_header;
@@ -135,7 +133,7 @@ let free_all t =
   Hashtbl.reset t.sizes;
   release chain
 
-let consumption t = Os.claimed_bytes t.os ~owner:(owner t)
+let consumption t = Os.claimed_bytes t.os ~owner:t.owner
 
 let live_objects t = t.live
 

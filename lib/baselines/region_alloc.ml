@@ -28,7 +28,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  pid : int;
+  owner : string;  (* "name[pid]", formatted once *)
   code_base : int;
   state : int;  (* address of the allocator's own state words *)
   mutable chunks : int array;  (* chunk base addresses, in mapping order *)
@@ -40,27 +40,23 @@ type t = {
   sizes : (int, int) Hashtbl.t;  (* untraced size oracle, see .mli *)
 }
 
-let owner t = Printf.sprintf "%s[%d]" name t.pid
-
 let map_chunk t =
   let base =
-    Os.mmap t.os ~owner:(owner t) ~bytes:t.cfg.chunk_size ~align:4096
+    Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.chunk_size ~align:4096
       ~large_pages:t.cfg.large_pages
   in
   t.chunks <- Array.append t.chunks [| base |];
   base
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  let state =
-    Os.mmap os ~owner:(Printf.sprintf "%s[%d]" name pid) ~bytes:64 ~align:64
-      ~large_pages:false
-  in
+  let owner = Printf.sprintf "%s[%d]" name pid in
+  let state = Os.mmap os ~owner ~bytes:64 ~align:64 ~large_pages:false in
   let t =
     {
       mem;
       os;
       cfg = config;
-      pid;
+      owner;
       code_base;
       state;
       chunks = [||];

@@ -40,14 +40,12 @@ type t = {
   os : Os.t;
   cfg : config;
   scheme : Core.Size_class.scheme;
-  pid : int;
+  owner : string;  (* "name[pid]", formatted once *)
   code_base : int;
   meta : int;
   mutable live : int;
   mutable scavenges : int;
 }
-
-let owner t = Printf.sprintf "%s[%d]" name t.pid
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let scheme = Core.Size_class.fine ~max_size:(config.span_size / 4) in
@@ -57,7 +55,17 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
     Os.mmap os ~owner ~bytes:(n * rec_bytes) ~align:64 ~large_pages:false
   in
   Memory.memset mem ~addr:meta ~bytes:(n * rec_bytes) ~value:0;
-  { mem; os; cfg = config; scheme; pid; code_base; meta; live = 0; scavenges = 0 }
+  {
+    mem;
+    os;
+    cfg = config;
+    scheme;
+    owner;
+    code_base;
+    meta;
+    live = 0;
+    scavenges = 0;
+  }
 
 let touch t ~offset ~lines =
   Core.Code_model.touch_path t.mem ~base:t.code_base ~offset ~lines
@@ -72,7 +80,7 @@ let carve_span t c =
   Memory.instr t.mem 80;
   touch t ~offset:1536 ~lines:5;
   let span =
-    Os.mmap t.os ~owner:(owner t) ~bytes:t.cfg.span_size
+    Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.span_size
       ~align:t.cfg.span_size ~large_pages:t.cfg.large_pages
   in
   Memory.store_word t.mem ~addr:span ~value:c;
@@ -148,7 +156,7 @@ let malloc t ~size =
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + span_header in
     let span =
-      Os.mmap t.os ~owner:(owner t) ~bytes ~align:t.cfg.span_size
+      Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.span_size
         ~large_pages:t.cfg.large_pages
     in
     Memory.store_word t.mem ~addr:span ~value:(bytes lor large_flag);
@@ -178,7 +186,7 @@ let free t ~addr =
   if cw land large_flag <> 0 then begin
     Memory.instr t.mem 40;
     touch t ~offset:2560 ~lines:2;
-    Os.munmap t.os ~owner:(owner t) ~addr:span ~bytes:(cw land lnot large_flag);
+    Os.munmap t.os ~owner:t.owner ~addr:span ~bytes:(cw land lnot large_flag);
     t.live <- t.live - 1
   end
   else begin
@@ -228,7 +236,7 @@ let realloc t ~addr ~size =
 
 let free_all (_ : t) = invalid_arg "tcmalloc has no bulk free"
 
-let consumption t = Os.claimed_bytes t.os ~owner:(owner t)
+let consumption t = Os.claimed_bytes t.os ~owner:t.owner
 
 let live_objects t = t.live
 

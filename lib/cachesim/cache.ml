@@ -103,6 +103,9 @@ let access t ~line ~store =
     end
   end
 
+let mark_mru_dirty t ~line =
+  Bytes.unsafe_set t.dirty (Array.unsafe_get t.mru (line land t.set_mask)) '\001'
+
 let insert t ~line =
   let set = line land t.set_mask in
   t.clock <- t.clock + 1;

@@ -27,6 +27,12 @@ val access : t -> line:int -> store:bool -> result
 (** Reference a line; on miss the line is filled (and marked dirty if
     [store]). *)
 
+val mark_mru_dirty : t -> line:int -> unit
+(** Set the dirty bit of the most recently touched way of [line]'s set.
+    Valid only when the previous {!access} to this cache returned with
+    [line] resident (so [line] is that way): it then has the same effect
+    as a repeated store [access], whose LRU update would be a no-op. *)
+
 val insert : t -> line:int -> result
 (** Fill a line without a demand reference (prefetch); clean, LRU-refreshed.
     [Hit] if already present. *)

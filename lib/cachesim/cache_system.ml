@@ -40,6 +40,10 @@ type t = {
      processed; set once per observer invocation so the per-line work never
      touches the context variant again. *)
   mutable ctx_base : int;
+  (* Line of the previous data reference, or -1 after a TLB flush.  That
+     line is the MRU way of its L1D set and its page the MRU D-TLB entry,
+     so repeating it cannot change either structure. *)
+  mutable last_line : int;
   (* Preallocated prefetch-fill callback handed to [Prefetcher.on_miss]
      (allocating a closure per L1 miss would defeat the zero-allocation
      contract). *)
@@ -91,30 +95,41 @@ let create ~machine ~active_cores ~large_page_heap =
       pf = Prefetcher.create ~streams:m.Machine.prefetch_streams ~degree:m.Machine.prefetch_degree;
       ev = Events.create ();
       ctx_base = 0;
+      last_line = -1;
       fill_cb = ignore;
     }
   in
   t.fill_cb <- (fun line -> prefetch_line t line);
   t
 
-(* One data reference to a single line. *)
+(* One data reference to a single line.  A reference to the line the
+   previous data reference touched is a D-TLB hit and an L1D hit that
+   leaves both LRU orders as they are, so it skips both; a store only sets
+   the dirty bit.  Only data references touch L1D, and the D-TLB flushes
+   ([on_context_switch], [flush]) clear [last_line]. *)
 let data_line t ~line ~addr ~store =
   Events.unsafe_add t.ev (t.ctx_base + ix_instructions) 1;
   Events.unsafe_add t.ev (t.ctx_base + (if store then ix_stores else ix_loads)) 1;
-  if not (Tlb.access t.tlb ~addr) then
-    Events.unsafe_add t.ev (t.ctx_base + ix_dtlb_miss) 1;
-  match Cache.access t.l1d ~line ~store with
-  | Cache.Hit | Cache.Hit_prefetched -> ()
-  | Cache.Miss ->
-    Events.unsafe_add t.ev (t.ctx_base + ix_l1d_miss) 1;
-    (* Read the L1 victim before the L2 references clobber anything. *)
-    let victim_line = Cache.victim_line t.l1d in
-    let victim_dirty = Cache.victim_dirty t.l1d in
-    (* Dirty L1 victim is written back into L2. *)
-    if victim_dirty && victim_line >= 0 then
-      l2_ref t ~line:victim_line ~store:true;
-    l2_ref t ~line ~store:false;
-    Prefetcher.on_miss t.pf ~line ~fill:t.fill_cb
+  if line = t.last_line then begin
+    if store then Cache.mark_mru_dirty t.l1d ~line
+  end
+  else begin
+    t.last_line <- line;
+    if not (Tlb.access t.tlb ~addr) then
+      Events.unsafe_add t.ev (t.ctx_base + ix_dtlb_miss) 1;
+    match Cache.access t.l1d ~line ~store with
+    | Cache.Hit | Cache.Hit_prefetched -> ()
+    | Cache.Miss ->
+      Events.unsafe_add t.ev (t.ctx_base + ix_l1d_miss) 1;
+      (* Read the L1 victim before the L2 references clobber anything. *)
+      let victim_line = Cache.victim_line t.l1d in
+      let victim_dirty = Cache.victim_dirty t.l1d in
+      (* Dirty L1 victim is written back into L2. *)
+      if victim_dirty && victim_line >= 0 then
+        l2_ref t ~line:victim_line ~store:true;
+      l2_ref t ~line ~store:false;
+      Prefetcher.on_miss t.pf ~line ~fill:t.fill_cb
+  end
 
 let on_data_access t ctx kind addr bytes =
   t.ctx_base <- Events.ctx_index ctx * Events.ncounters;
@@ -155,7 +170,10 @@ let attach t mem =
   Memory.set_instr_observer mem (fun ctx n -> on_instr t ctx n)
 
 let on_context_switch t =
-  if t.machine.Machine.tlb_flush_on_switch then Tlb.flush t.tlb
+  if t.machine.Machine.tlb_flush_on_switch then begin
+    Tlb.flush t.tlb;
+    t.last_line <- -1
+  end
 
 let events t = t.ev
 
@@ -166,7 +184,8 @@ let flush t =
   Cache.flush t.l1d;
   Cache.flush t.l2;
   Tlb.flush t.tlb;
-  Prefetcher.reset t.pf
+  Prefetcher.reset t.pf;
+  t.last_line <- -1
 
 let machine t = t.machine
 

@@ -73,7 +73,7 @@ let solve ~machine ~active_cores ~events ~txns =
     Float.min 0.92 (demand /. m.Machine.bus_bytes_per_cycle)
   in
   let latency_of rho =
-    (* Open-queue latency growth on the shared bus; the 0.4 service-time
+    (* Open-queue latency growth on the shared bus; the 0.25 service-time
        coefficient is calibrated so the default allocator's 8-core
        speedups land in Table 4's range. *)
     m.Machine.mem_latency *. (1.0 +. (0.25 *. rho /. (1.0 -. rho)))

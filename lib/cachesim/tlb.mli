@@ -1,4 +1,5 @@
-(** Data TLB: fully-associative, LRU, fixed entry count.
+(** Data TLB: fully-associative, exact LRU, fixed entry count; every
+    operation is O(1) and {!access} allocates nothing.
 
     Page size is a property of the run (4 KB, or the large-page size when
     the heap is mapped with large pages — §3.3 optimization 2; the paper

@@ -56,7 +56,11 @@ let page_size_of t ~addr =
   | Some r when r.large_pages -> large_page
   | Some _ | None -> small_page
 
+(* Read after every malloc (peak-consumption tracking), so it avoids the
+   option [find_opt] would allocate. *)
 let claimed_bytes t ~owner =
-  Option.value ~default:0 (Hashtbl.find_opt t.owners owner)
+  match Hashtbl.find t.owners owner with
+  | v -> v
+  | exception Not_found -> 0
 
 let total_claimed t = Hashtbl.fold (fun _ v acc -> acc + v) t.owners 0

@@ -21,6 +21,14 @@ let restart_kernel_instr spec =
   int_of_float
     (restart_cost_ratio *. float_of_int (spec.Spec.mallocs * per_op))
 
+(* Fractional free/realloc calls owed, per Table 3's ratios.  An all-float
+   record is stored flat, so updating it every op boxes nothing; mutable
+   float fields of [t] itself would allocate on each write. *)
+type credit = {
+  mutable free_credit : float;
+  mutable realloc_credit : float;
+}
+
 type t = {
   kind : Alloc_factory.kind;
   os : Os.t;
@@ -33,15 +41,17 @@ type t = {
   mutable live_size : int array;
   mutable nlive : int;
   ws_base : int;
-  ws_lines : int;
   stream_base : int;
   stream_bytes : int;
   mutable stream_pos : int;
-  code_line_span : int;  (* app code lines available to pick from *)
+  (* Samplers over the app code lines and the working-set lines, built
+     once per process rather than memoised globally, because processes
+     run on pool domains. *)
+  code_zipf : Dist.zipf_sampler;
+  ws_zipf : Dist.zipf_sampler;
   mutable ops_in_txn : int;
   mutable txns : int;
-  mutable free_credit : float;
-  mutable realloc_credit : float;
+  credit : credit;
   mutable peaks : Mm_stats.Summary.t;
   mutable nrestarts : int;
   use_bulk_free : bool;
@@ -73,15 +83,17 @@ let create ~kind ~os ~mem ~spec ~pid ~seed ~use_bulk_free =
     live_size = Array.make 4096 0;
     nlive = 0;
     ws_base;
-    ws_lines = spec.Spec.app_ws_bytes / 64;
     stream_base;
     stream_bytes;
     stream_pos = 0;
-    code_line_span = Stdlib.max 1 ((spec.Spec.app_code_bytes / 64) - 8);
+    code_zipf =
+      Dist.zipf_sampler
+        ~n:(Stdlib.max 1 ((spec.Spec.app_code_bytes / 64) - 8))
+        ~s:1.05;
+    ws_zipf = Dist.zipf_sampler ~n:(spec.Spec.app_ws_bytes / 64) ~s:0.85;
     ops_in_txn = 0;
     txns = 0;
-    free_credit = 0.0;
-    realloc_credit = 0.0;
+    credit = { free_credit = 0.0; realloc_credit = 0.0 };
     peaks = Mm_stats.Summary.create ();
     nrestarts = 0;
     use_bulk_free;
@@ -127,13 +139,13 @@ let app_work t =
   let s = t.spec in
   Memory.instr t.mem s.Spec.app_instr_per_op;
   (* Hot interpreter code: a Zipf-popular basic-block run. *)
-  let line = Dist.zipf t.rng ~n:t.code_line_span ~s:1.05 in
+  let line = Dist.zipf_draw t.code_zipf t.rng in
   Core.Code_model.touch_path t.mem ~base:Alloc_factory.app_code_base
     ~offset:(line * 64) ~lines:s.Spec.code_lines_per_op;
   (* Application working set: symbol tables, compiled-code cache, session
      data; hot/cold skew via Zipf. *)
   for _ = 1 to s.Spec.ws_touches_per_op do
-    let wline = Dist.zipf t.rng ~n:t.ws_lines ~s:0.85 in
+    let wline = Dist.zipf_draw t.ws_zipf t.rng in
     let kind =
       if Rng.bool t.rng ~p:0.3 then Mm_memsim.Access.Store
       else Mm_memsim.Access.Load
@@ -183,10 +195,11 @@ let do_op t =
       ~kind:Mm_memsim.Access.Load
   done;
   (* Occasional realloc (growing buffers, arrays). *)
-  t.realloc_credit <-
-    t.realloc_credit +. (float_of_int s.Spec.reallocs /. float_of_int s.Spec.mallocs);
-  if t.realloc_credit >= 1.0 && t.nlive > 0 then begin
-    t.realloc_credit <- t.realloc_credit -. 1.0;
+  let c = t.credit in
+  c.realloc_credit <-
+    c.realloc_credit +. (float_of_int s.Spec.reallocs /. float_of_int s.Spec.mallocs);
+  if c.realloc_credit >= 1.0 && t.nlive > 0 then begin
+    c.realloc_credit <- c.realloc_credit -. 1.0;
     let idx = pick_recent t in
     let nsize = t.live_size.(idx) + Stdlib.max 8 (t.live_size.(idx) / 2) in
     let naddr = h.Core.Allocator.h_realloc ~addr:t.live_addr.(idx) ~size:nsize in
@@ -197,11 +210,11 @@ let do_op t =
      per-object free (region, obstack) have these calls removed, exactly as
      the paper's porting rule prescribes. *)
   if h.Core.Allocator.h_caps.Core.Allocator.per_object_free then begin
-    t.free_credit <-
-      t.free_credit
+    c.free_credit <-
+      c.free_credit
       +. (float_of_int s.Spec.frees /. float_of_int s.Spec.mallocs);
-    while t.free_credit >= 1.0 && t.nlive > 0 do
-      t.free_credit <- t.free_credit -. 1.0;
+    while c.free_credit >= 1.0 && t.nlive > 0 do
+      c.free_credit <- c.free_credit -. 1.0;
       let idx = pick_lifo t in
       h.Core.Allocator.h_free ~addr:t.live_addr.(idx);
       remove_live t idx
@@ -249,8 +262,8 @@ let restart t =
       Memory.instr t.mem (restart_kernel_instr t.spec));
   t.nlive <- 0;
   t.ops_in_txn <- 0;
-  t.free_credit <- 0.0;
-  t.realloc_credit <- 0.0;
+  t.credit.free_credit <- 0.0;
+  t.credit.realloc_credit <- 0.0;
   t.handle <- Alloc_factory.create t.kind ~os:t.os ~mem:t.mem ~pid:t.pid;
   t.nrestarts <- t.nrestarts + 1
 

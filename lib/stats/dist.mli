@@ -19,7 +19,8 @@ type t =
       (** [(weight, component)] pairs; weights need not be normalized. *)
 
 val sample : t -> Rng.t -> float
-(** Draw one variate. *)
+(** Draw one variate.  Mixture components are picked by a cumulative walk
+    over the weights that allocates nothing itself. *)
 
 val sample_size : t -> Rng.t -> min_bytes:int -> int
 (** Draw an allocation size in bytes: rounds the variate to an integer and
@@ -31,3 +32,12 @@ val mean_estimate : t -> Rng.t -> samples:int -> float
 val zipf : Rng.t -> n:int -> s:float -> int
 (** [zipf rng ~n ~s] draws a rank in [0, n) with Zipf exponent [s] (rank 0 is
     the most popular).  Used for hot/cold working-set touches. *)
+
+type zipf_sampler
+(** {!zipf} for fixed [(n, s)], with the normalisation computed once. *)
+
+val zipf_sampler : n:int -> s:float -> zipf_sampler
+
+val zipf_draw : zipf_sampler -> Rng.t -> int
+(** Same draw as [zipf rng ~n ~s], bit for bit, without recomputing the
+    normalisation or allocating beyond {!Rng.float}'s result. *)

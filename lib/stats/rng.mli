@@ -4,7 +4,13 @@
     experiment is exactly reproducible from its seed.  The generator is
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): fast, 64-bit, and cheap to
     split into independent streams — one stream per simulated process keeps
-    workloads on different cores statistically independent yet repeatable. *)
+    workloads on different cores statistically independent yet repeatable.
+
+    The state is kept unboxed, so drawing does not allocate: {!int},
+    {!int_in}, {!bool}, {!shuffle} and {!choose} allocate nothing, and the
+    functions returning a [float] or [int64] allocate at most the boxed
+    result (none once inlined into an unboxing caller).  Only {!create},
+    {!copy} and {!split} allocate a generator. *)
 
 type t
 

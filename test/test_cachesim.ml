@@ -246,6 +246,77 @@ let test_tlb_large_pages () =
   Alcotest.(check bool) "2 MB page spans" true (Tlb.access t ~addr:(2 * 1024 * 1024 - 1));
   Alcotest.(check bool) "next page misses" false (Tlb.access t ~addr:(2 * 1024 * 1024))
 
+(* The reference D-TLB: a linear scan for the hit and a min-stamp scan for
+   the LRU victim, exactly what {!Tlb} computes in O(1).  Kept here only as
+   the model the fast structure is checked against. *)
+module Scan_tlb = struct
+  type t = {
+    entries : int;
+    shift : int;
+    pages : int array;  (* -1 = empty slot *)
+    stamp : int array;  (* last-use clock; 0 = never used since flush *)
+    mutable clock : int;
+  }
+
+  let create ~entries ~page_shift =
+    {
+      entries;
+      shift = page_shift;
+      pages = Array.make entries (-1);
+      stamp = Array.make entries 0;
+      clock = 0;
+    }
+
+  let access t ~addr =
+    let page = addr lsr t.shift in
+    t.clock <- t.clock + 1;
+    let hit = ref (-1) in
+    Array.iteri (fun i p -> if !hit < 0 && p = page then hit := i) t.pages;
+    if !hit >= 0 then begin
+      t.stamp.(!hit) <- t.clock;
+      true
+    end
+    else begin
+      (* Empty slots carry stamp 0, so the TLB fills before evicting. *)
+      let victim = ref 0 in
+      for j = 1 to t.entries - 1 do
+        if t.stamp.(j) < t.stamp.(!victim) then victim := j
+      done;
+      t.pages.(!victim) <- page;
+      t.stamp.(!victim) <- t.clock;
+      false
+    end
+
+  let flush t =
+    Array.fill t.pages 0 t.entries (-1);
+    Array.fill t.stamp 0 t.entries 0
+end
+
+(* Entry counts from 1 to the Xeon's 64, page pools smaller and larger
+   than the TLB, and a flush of both TLBs one time in fifty. *)
+let prop_tlb_matches_scan_model =
+  QCheck.Test.make ~name:"tlb: O(1) LRU matches the linear-scan model"
+    ~count:200
+    QCheck.(
+      triple (oneofl [ 1; 2; 8; 64 ]) (oneofl [ 1; 3; 6; 48; 64; 65; 200 ])
+        (pair small_int (list_of_size Gen.(int_range 100 2000) small_nat)))
+    (fun (entries, pool, (seed, raw)) ->
+      let fast = Tlb.create ~entries ~page_shift:12 in
+      let model = Scan_tlb.create ~entries ~page_shift:12 in
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun x ->
+          if Random.State.int rng 50 = 0 then begin
+            Tlb.flush fast;
+            Scan_tlb.flush model;
+            true
+          end
+          else
+            (* Offset within the page varies too: only the page matters. *)
+            let addr = ((x mod pool) lsl 12) + Random.State.int rng 4096 in
+            Tlb.access fast ~addr = Scan_tlb.access model ~addr)
+        raw)
+
 (* --- Prefetcher --- *)
 
 (* on_miss pushes candidates through a callback; gather them for checks. *)
@@ -395,6 +466,97 @@ let test_system_writeback_traffic () =
   Alcotest.(check bool) "writebacks happened" true
     (Events.total ev Events.Bus_writeback > lines / 2)
 
+(* --- Exact event counts ---
+
+   A fixed synthetic stream through {!CS.attach}: repeated loads and stores
+   to one line, multi-line touches that straddle pages, context switches
+   and flushes between references to the same line, and enough scattered
+   traffic to exercise evictions, writebacks and the prefetcher.  The
+   expected values (all 33 counters: Mgmt, App, Kernel rows in
+   {!Events.all_counters} order) were recorded from the hierarchy before
+   the repeated-line filter and the O(1) D-TLB existed; both are pure
+   shortcuts and must not move a single count. *)
+
+let synthetic_stream cs mem =
+  let base = 0x100000 in
+  Memory.set_context mem Access.App;
+  for i = 0 to 15 do
+    Memory.touch mem ~kind:Access.Load ~addr:(base + ((i land 7) * 8)) ~bytes:8
+  done;
+  for i = 0 to 15 do
+    Memory.touch mem
+      ~kind:(if i land 1 = 0 then Access.Store else Access.Load)
+      ~addr:(base + 64 + ((i * 4) land 63)) ~bytes:4
+  done;
+  for i = 0 to 7 do
+    let addr = base + (4096 * (i + 1)) - 72 + i in
+    Memory.touch mem ~kind:Access.Load ~addr ~bytes:(100 + (16 * i));
+    Memory.touch mem ~kind:Access.Store ~addr ~bytes:(100 + (16 * i))
+  done;
+  Memory.touch mem ~kind:Access.Load ~addr:base ~bytes:8;
+  CS.on_context_switch cs;
+  Memory.touch mem ~kind:Access.Load ~addr:base ~bytes:8;
+  Memory.touch mem ~kind:Access.Store ~addr:(base + 8) ~bytes:8;
+  CS.flush cs;
+  Memory.touch mem ~kind:Access.Store ~addr:(base + 8) ~bytes:8;
+  Memory.set_context mem Access.Mgmt;
+  for i = 1 to 20_000 do
+    let addr = base + ((i * 8161) land 0x3FFFFF) in
+    let kind = if i mod 5 = 0 then Access.Store else Access.Load in
+    Memory.touch mem ~kind ~addr ~bytes:(if i land 7 = 0 then 72 else 8);
+    if i mod 3 = 0 then Memory.touch mem ~kind:Access.Store ~addr ~bytes:8;
+    if i mod 4 = 0 then Memory.touch mem ~kind:Access.Load ~addr ~bytes:8;
+    Memory.code_touch mem ~addr:(0x4000000 + ((i * 127) land 0xFFFF));
+    Memory.instr mem 3;
+    if i mod 1000 = 0 then CS.on_context_switch cs;
+    if i mod 7919 = 0 then CS.flush cs
+  done;
+  Memory.set_context mem Access.Kernel;
+  for i = 0 to 4095 do
+    Memory.touch mem
+      ~kind:(if i land 1 = 0 then Access.Load else Access.Store)
+      ~addr:(0x800000 + (i * 16)) ~bytes:16
+  done
+
+let expected_events_xeon =
+  [|
+    97395; 25062; 12333; 3850; 24688; 27388; 20073; 27388; 0; 13630; 0;
+    98; 57; 41; 0; 35; 27; 11; 27; 0; 34; 7;
+    4096; 2048; 2048; 0; 1024; 17; 16; 17; 0; 1007; 1007;
+  |]
+
+let expected_events_niagara =
+  [|
+    97395; 25062; 12333; 20000; 24688; 27388; 19924; 27388; 3908; 0; 0;
+    98; 57; 41; 0; 35; 34; 6; 34; 0; 0; 0;
+    4096; 2048; 2048; 0; 1024; 1024; 8; 1024; 282; 0; 0;
+  |]
+
+let test_system_exact_event_counts () =
+  List.iter
+    (fun (name, machine, expected) ->
+      let mem = Memory.create () in
+      let cs = CS.create ~machine ~active_cores:8 ~large_page_heap:false in
+      CS.attach cs mem;
+      synthetic_stream cs mem;
+      let ev = CS.events cs in
+      let i = ref 0 in
+      List.iter
+        (fun ctx ->
+          List.iter
+            (fun c ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s %s" name (Access.context_name ctx)
+                   (Events.counter_name c))
+                expected.(!i) (Events.get ev ctx c);
+              incr i)
+            Events.all_counters)
+        [ Access.Mgmt; Access.App; Access.Kernel ])
+    [
+      ("xeon", Machine.xeon, expected_events_xeon);
+      ("niagara", Machine.niagara, expected_events_niagara);
+    ]
+
 (* --- Perf model --- *)
 
 let events_with instr l1d l2 tlb bus =
@@ -504,7 +666,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cache_matches_reference; prop_mru_fast_path_matches_slow_path;
       prop_perf_model_consistent; prop_prefetched_hit_reported_once;
-      prop_tlb_hit_after_install ]
+      prop_tlb_hit_after_install; prop_tlb_matches_scan_model ]
 
 let () =
   Alcotest.run "mm_cachesim"
@@ -546,6 +708,7 @@ let () =
           Alcotest.test_case "context attribution" `Quick test_system_context_attribution;
           Alcotest.test_case "TLB flush on switch" `Quick test_system_tlb_flush_on_switch;
           Alcotest.test_case "writeback traffic" `Quick test_system_writeback_traffic;
+          Alcotest.test_case "exact event counts" `Quick test_system_exact_event_counts;
         ] );
       ( "perf_model",
         [

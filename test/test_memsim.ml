@@ -152,6 +152,56 @@ let test_touch_allocates_nothing () =
   Alcotest.(check (float 0.0))
     "minor words allocated by the access hot path" 0.0 (after -. before)
 
+(* The generator's draws and a steady-state workload step.  [Rng] keeps
+   its state unboxed, so integer and boolean draws allocate nothing.  A
+   php-default [Process.step] allocates nothing in a release build; the
+   default (dev) profile compiles each library opaquely, so float results
+   returned across modules stay boxed there: 15.8 words per op, which the
+   bound sits just above.  A generator that boxed its state took 214.5. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Mm_stats.Rng.create ~seed:1 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Mm_stats.Rng.int rng ~bound:17;
+    if Mm_stats.Rng.bool rng ~p:0.3 then incr acc
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) "draws happened" true (!acc > 0);
+  Alcotest.(check (float 0.0)) "minor words for Rng.int + Rng.bool" 0.0
+    (after -. before)
+
+let step_words_per_op_bound = 20.0
+
+let test_process_step_allocation () =
+  let mem = Memory.create () in
+  let os = Mm_memsim.Os_layer.create mem in
+  let cs =
+    Mm_cachesim.Cache_system.create ~machine:Mm_cachesim.Machine.xeon
+      ~active_cores:8 ~large_page_heap:false
+  in
+  Mm_cachesim.Cache_system.attach cs mem;
+  let spec =
+    Mm_workload.Spec.scaled Mm_workload.Spec.mediawiki_ro ~scale:0.05
+  in
+  let p =
+    Mm_runtime.Process.create ~kind:Mm_runtime.Alloc_factory.Php_default ~os
+      ~mem ~spec ~pid:0 ~seed:42 ~use_bulk_free:true
+  in
+  let ops = 20_000 in
+  let run () =
+    for _ = 1 to ops do
+      ignore (Mm_runtime.Process.step p ~ops:1 : bool)
+    done
+  in
+  run () (* warm up: grow the live arrays, map the heap *);
+  let before = Gc.minor_words () in
+  run ();
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if per_op > step_words_per_op_bound then
+    Alcotest.failf "Process.step: %.1f minor words per op, bound %.1f" per_op
+      step_words_per_op_bound
+
 (* --- events and contexts --- *)
 
 let test_touch_emits_without_backing () =
@@ -354,6 +404,10 @@ let () =
           Alcotest.test_case "code observer" `Quick test_code_observer;
           Alcotest.test_case "access count" `Quick test_access_count;
           Alcotest.test_case "zero allocation" `Quick test_touch_allocates_nothing;
+          Alcotest.test_case "rng draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
+          Alcotest.test_case "process step allocation" `Quick
+            test_process_step_allocation;
         ] );
       ( "os_layer",
         [

@@ -118,6 +118,140 @@ let test_rng_choose_member () =
     Alcotest.(check bool) "member" true (Array.exists (( = ) v) a)
   done
 
+(* --- Golden streams ---
+
+   Exact outputs recorded from the original boxed-state generator and
+   closure-based samplers.  Any reimplementation must reproduce every value
+   bit for bit: a single differing draw would change every simulation
+   downstream.  Floats are hexadecimal literals so the comparison is
+   exact. *)
+
+let int64_seed0 =
+  [| -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+    -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+    3207296026000306913L; -4214222208109204676L; 4532161160992623299L;
+    -884877559730491226L; 7313543279846440201L; -4408136866661146890L;
+    -8781561602181964933L; -8205710985559103185L; -5382347917484077799L;
+    -8882435919750266709L; |]
+
+let float_seed0 =
+  [| 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+    0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+    0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3;
+    0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2; 0x1.85a64dc00ab7bp-1;
+    0x1.0c43407fc177bp-1; 0x1.1c3eeaab30755p-1; 0x1.6a9c1e2c01989p-1;
+    0x1.09767f2f2e3bp-1; |]
+
+let exponential_seed0 =
+  [| 0x1.7d2b06e7f863p+1; 0x1.42b8ee78d5af3p+4; 0x1.5cc761b298b55p+6;
+    0x1.6b1d68eed9902p-1; 0x1.ae4821978a1b2p+5; 0x1.acd9d8b81fb8ap+4;
+    0x1.4fe570f0bb9afp+5; 0x1.8e5fd1ad7959ep+2; 0x1.0d821ee50ecddp+5;
+    0x1.2e06db960d62p+0; 0x1.6342edf42277ep+4; 0x1.a3721fae3bda5p+2;
+    0x1.f06721cb24b34p+3; 0x1.c3f4eefe9de0ep+3; 0x1.08f535c16fdc5p+3;
+    0x1.f875e37e6d048p+3; |]
+
+let gaussian_seed0 =
+  [| -0x1.cf9fb99cfab92p-2; 0x1.53470d1ebc1f5p+1; -0x1.fa2a51dfe785dp-1;
+    0x1.0285969ebe6b7p-2; 0x1.99992ecac5d52p+0; 0x1.81fae2d6ddccbp-4;
+    -0x1.11c125d48b7fep+0; -0x1.a66ed714dc55fp-1; 0x1.c96ab409c6d04p-4;
+    0x1.fc93e88e35325p-1; -0x1.31ebbf711f888p-2; -0x1.75eb459238374p-3;
+    -0x1.e9ff85a02ae38p-2; -0x1.b7f92fcde1141p-6; 0x1.b997442bfd459p-1;
+    0x1.22f927bcd5758p-4; |]
+
+let int64_seed42 =
+  [| -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+    6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+    4028864712777624925L; -3677692746721775708L; 6270620877612482005L;
+    -7037763681458882642L; 3779771651426294207L; 9094045341461139646L;
+    -8976257307478440218L; -8854191821003330121L; -6176718654468026660L;
+    3752715396868486130L; |]
+
+let float_seed42 =
+  [| 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+    0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+    0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2;
+    0x1.3ca9ae7052feep-1; 0x1.a3a39253bad8cp-3; 0x1.f8d2283914594p-2;
+    0x1.06dbdb12fe7c8p-1; 0x1.0a3f2ee68fdadp-1; 0x1.548fc63805cf1p-1;
+    0x1.a0a2962a6be18p-3; |]
+
+let exponential_seed42 =
+  [| 0x1.cb40af11bd6bfp+2; 0x1.5ff6944191b1ap+5; 0x1.eabdf8ce3b7a2p+4;
+    0x1.998f0d4f11c6bp+4; 0x1.39dc2c43c8bd4p+6; 0x1.b2138020ff038p+1;
+    0x1.241c034518c47p+5; 0x1.5589283fb333p+2; 0x1.9e573ee2fefb2p+4;
+    0x1.71039aba4a1b6p+3; 0x1.305cf1a9d98bfp+5; 0x1.0f97470863ce8p+4;
+    0x1.0004057f33fa4p+4; 0x1.f632258066f8p+3; 0x1.3922b1efda898p+3;
+    0x1.31be0c39c293ep+5; |]
+
+let gaussian_seed42 =
+  [| 0x1.a8ac4b546f509p-2; -0x1.c8a54f4e91a7cp-1; 0x1.bac69cd4142bfp+0;
+    0x1.175b8fd2de8bap-1; -0x1.1495f183d321dp+0; -0x1.c76296a7a60e6p+0;
+    -0x1.25473fd96d151p+0; 0x1.0ab38bced1168p-2; -0x1.1078cda70d963p+1;
+    -0x1.a140709ec2429p-1; 0x1.0f1f32f8cb7ap-2; -0x1.79c439c8d1628p-1;
+    -0x1.928f39ed87471p-2; 0x1.5dff12e6f25e6p-3; -0x1.e6d2c5d33f73p-4;
+    0x1.7ac18a43ad71dp-2; |]
+
+let split_stream =
+  [| 6332618229526065668L; 2949826092126892291L; -816328817471504299L;
+    5139283748462763858L; 8971565426155258802L; 6349198060258255764L;
+    1242533817266198696L; 701532786141963250L; -5959852680200513735L;
+    -2430762948046562554L; 1245346008178237623L; 4028864712777624925L;
+    3603600226484403572L; -3677692746721775708L; -4893543810735773810L;
+    6270620877612482005L; |]
+
+let copy_stream =
+  [| -7693578145408079413L; 8346079845500723674L; 4601199455465548305L;
+    8632209307422871798L; 6051947643683389182L; 2476628477891077985L;
+    7621113624420504425L; 1910343844960271083L; -740192640177446100L;
+    -1512271731865832626L; -2373510095968312272L; -2508615849655462426L;
+    -8332626420854716936L; -2220735309839870289L; 6020303405324641991L;
+    -7025984793190031819L; |]
+
+let check_int64_stream name expected next =
+  Array.iteri
+    (fun i e -> Alcotest.(check int64) (Printf.sprintf "%s[%d]" name i) e (next ()))
+    expected
+
+let check_float_stream name expected next =
+  Array.iteri
+    (fun i e ->
+      let v = next () in
+      if Int64.bits_of_float v <> Int64.bits_of_float e then
+        Alcotest.failf "%s[%d]: expected %h, got %h" name i e v)
+    expected
+
+let test_rng_golden_streams () =
+  List.iter
+    (fun (seed, ints, floats, exps, gauss) ->
+      let fresh () = Rng.create ~seed in
+      let name s = Printf.sprintf "%s seed %d" s seed in
+      let r = fresh () in
+      check_int64_stream (name "next_int64") ints (fun () -> Rng.next_int64 r);
+      let r = fresh () in
+      check_float_stream (name "float") floats (fun () -> Rng.float r);
+      let r = fresh () in
+      check_float_stream (name "exponential") exps (fun () ->
+          Rng.exponential r ~mean:24.0);
+      let r = fresh () in
+      check_float_stream (name "gaussian") gauss (fun () -> Rng.gaussian r))
+    [
+      (0, int64_seed0, float_seed0, exponential_seed0, gaussian_seed0);
+      (42, int64_seed42, float_seed42, exponential_seed42, gaussian_seed42);
+    ];
+  (* Child and parent interleaved: the split must not disturb either. *)
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  let turn = ref 0 in
+  check_int64_stream "split" split_stream (fun () ->
+      incr turn;
+      Rng.next_int64 (if !turn land 1 = 1 then child else parent));
+  let r = Rng.create ~seed:7 in
+  for _ = 1 to 3 do
+    ignore (Rng.next_int64 r)
+  done;
+  let c = Rng.copy r in
+  ignore (Rng.next_int64 r);
+  check_int64_stream "copy" copy_stream (fun () -> Rng.next_int64 c)
+
 (* --- Dist --- *)
 
 let test_dist_constant () =
@@ -183,6 +317,44 @@ let test_dist_zipf_range_and_skew () =
   Alcotest.(check bool) "rank 0 most popular" true
     (counts.(0) > counts.(n - 1));
   Alcotest.(check bool) "rank 0 beats rank 10" true (counts.(0) > counts.(10))
+
+(* Golden draws for the samplers the workload generator leans on. *)
+
+let mediawiki_sizes =
+  [| 26; 16; 53; 32; 24; 32; 24; 24; 32; 8; 16; 32; 31; 26; 20; 24; 8; 24; 25;
+    16; 56; 16; 24; 40; 32; 30; 74; 32; 493; 44; 16; 43; 40; 24; 32; 24; 55;
+    31; 55; 32; 32; 32; 32; 40; 65; 24; 40; 32; 56; 24; 40; 56; 25; 16; 16;
+    16; 40; 56; 56; 56; 16; 32; 36; 16; |]
+
+let zipf_3064_105 =
+  [| 276; 1; 5; 10; 0; 867; 3; 467; 9; 96; 3; 34; 40; 42; 142; 3; 1; 34; 0;
+    174; 2018; 0; 82; 97; 0; 5; 277; 408; 1740; 182; 424; 671; 122; 396; 112;
+    13; 0; 5; 328; 0; 46; 1; 5; 370; 146; 8; 0; 1; 37; 2268; 12; 2; 1; 8; 0;
+    569; 167; 57; 925; 0; 4; 2170; 89; 0; |]
+
+let zipf_24576_085 =
+  [| 5472; 19; 97; 205; 1; 11919; 45; 7957; 195; 2327; 37; 854; 1016; 1074;
+    3260; 36; 7; 872; 5; 3847; 19607; 3; 2023; 2350; 3; 96; 5487; 7243; 18038;
+    3988; 7445; 10129; 2867; 7093; 2676; 297; 2; 83; 6212; 5; 1169; 18; 91;
+    6772; 3333; 159; 4; 14; 945; 20914; 263; 29; 17; 157; 0; 9093; 3711; 1439;
+    12405; 1; 76; 20410; 2176; 1; |]
+
+let check_int_stream name expected next =
+  Array.iteri
+    (fun i e -> Alcotest.(check int) (Printf.sprintf "%s[%d]" name i) e (next ()))
+    expected
+
+let test_dist_golden_draws () =
+  let r = Rng.create ~seed:42 in
+  let sizes = Mm_workload.Spec.mediawiki_ro.Mm_workload.Spec.size_dist in
+  check_int_stream "mediawiki-ro sizes" mediawiki_sizes (fun () ->
+      Dist.sample_size sizes r ~min_bytes:8);
+  let r = Rng.create ~seed:42 in
+  check_int_stream "zipf 3064 1.05" zipf_3064_105 (fun () ->
+      Dist.zipf r ~n:3064 ~s:1.05);
+  let r = Rng.create ~seed:42 in
+  check_int_stream "zipf 24576 0.85" zipf_24576_085 (fun () ->
+      Dist.zipf r ~n:24576 ~s:0.85)
 
 (* --- Summary --- *)
 
@@ -495,6 +667,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choose member" `Quick test_rng_choose_member;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
         ] );
       ( "dist",
         [
@@ -506,6 +679,7 @@ let () =
           Alcotest.test_case "mixture degenerate" `Quick test_dist_mixture_degenerate;
           Alcotest.test_case "sample_size min" `Quick test_dist_sample_size_min;
           Alcotest.test_case "zipf range and skew" `Quick test_dist_zipf_range_and_skew;
+          Alcotest.test_case "golden draws" `Quick test_dist_golden_draws;
         ] );
       ( "summary",
         [
