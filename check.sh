@@ -4,7 +4,8 @@
 # the execute stage runs on 1 domain or 4, and that output must match the
 # committed golden digest — a cold/warm store equivalence
 # gate, a serving-simulator gate (deterministic across -j, warm rerun
-# fully store-served), a fault-injection gate (injected faults must not
+# fully store-served, a policy-heavy run matching its committed golden
+# digest), a fault-injection gate (injected faults must not
 # change a single output byte, and the chaos drills must pass), and a
 # perf smoke that times a small bench run so hot-path regressions show
 # up in CI logs.
@@ -111,6 +112,26 @@ if ! grep -q 'SATURATED' "$sj4"; then
   exit 1
 fi
 echo "serve deterministic across -j; warm rerun 0 simulations, 0 serve sims."
+
+echo "== serve policy golden: affinity, bursty, timeouts, retries, deadline-aware =="
+# The smoke above runs without a policy; this run drives every branch of
+# the event loop (sheds, timeouts, retries) and pins its stdout across
+# commits, against the same fingerprint as the run-all golden.
+sgolden=test/golden/serve_policy_scale0.05.md5
+spdir=$(mktemp -d)
+spout=$(MMSTUDY_CACHE_DIR="$spdir" $TO $MMSTUDY serve --workload mediawiki-ro \
+  --scale 0.05 --duration 2 --dispatch affinity --arrival bursty \
+  --timeout 0.5 --retries 2 --admission deadline-aware 2>/dev/null | md5sum | cut -d' ' -f1)
+rm -rf "$spdir"
+if [ "$(sed -n 's/^fingerprint //p' "$sgolden")" != "$fingerprint" ]; then
+  echo "FAIL: simulator fingerprint $fingerprint, $sgolden records another" >&2
+  exit 1
+fi
+if [ "$spout" != "$(sed -n 's/^md5 //p' "$sgolden")" ]; then
+  echo "FAIL: serve policy md5 $spout differs from $sgolden" >&2
+  exit 1
+fi
+echo "md5 $spout matches $sgolden."
 
 echo "== fault smoke: injected faults must not change a single output byte =="
 # The determinism-under-faults invariant: MM_FAULT_SEED arms I/O errors,

@@ -345,7 +345,7 @@ let realloc t ~addr ~size =
   if h land mmapped = 0 && csize >= nb then addr
   else begin
     let naddr = malloc t ~size in
-    let bytes = Stdlib.min (csize - header_bytes) size in
+    let bytes = Int.min (csize - header_bytes) size in
     Memory.memcpy t.mem ~dst:naddr ~src:addr ~bytes;
     Memory.instr t.mem (8 + (bytes / 8));
     free t ~addr;

@@ -119,7 +119,7 @@ let realloc t ~addr ~size =
   let old = usable_size t ~addr in
   Memory.instr t.mem 8;
   let naddr = malloc t ~size in
-  let bytes = Stdlib.min old (round8 size) in
+  let bytes = Int.min old (round8 size) in
   Memory.memcpy t.mem ~dst:naddr ~src:addr ~bytes;
   Memory.instr t.mem (8 + (bytes / 8));
   naddr

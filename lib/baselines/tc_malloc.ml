@@ -109,7 +109,7 @@ let refill t c =
   if Memory.load_word t.mem ~addr:(r + 16) = 0 then carve_span t c;
   let head = Memory.load_word t.mem ~addr:(r + 16) in
   let central_len = Memory.load_word t.mem ~addr:(r + 24) in
-  let take = Stdlib.min t.cfg.batch central_len in
+  let take = Int.min t.cfg.batch central_len in
   assert (take > 0);
   let last = ref head in
   for _ = 2 to take do
@@ -227,7 +227,7 @@ let realloc t ~addr ~size =
   end
   else begin
     let naddr = malloc t ~size in
-    let bytes = Stdlib.min old size in
+    let bytes = Int.min old size in
     Memory.memcpy t.mem ~dst:naddr ~src:addr ~bytes;
     Memory.instr t.mem (8 + (bytes / 8));
     free t ~addr;

@@ -372,7 +372,7 @@ let realloc t ~addr ~size =
   end
   else begin
     let naddr = malloc t ~size in
-    let bytes = Stdlib.min old_usable size in
+    let bytes = Int.min old_usable size in
     Memory.memcpy t.mem ~dst:naddr ~src:addr ~bytes;
     Memory.instr t.mem (8 + (bytes / 8));
     free t ~addr;

@@ -186,7 +186,7 @@ let memset t ~addr ~bytes ~value =
   let pos = ref addr in
   while !remaining > 0 do
     let in_block = block_size - (!pos land block_mask) in
-    let n = Stdlib.min in_block !remaining in
+    let n = Int.min in_block !remaining in
     emit t Access.Store !pos n;
     Bytes.fill (backing t (!pos lsr block_bits)) (!pos land block_mask) n c;
     pos := !pos + n;
@@ -207,7 +207,7 @@ let memcpy t ~dst ~src ~bytes =
   while !remaining > 0 do
     let in_src = block_size - (!s land block_mask) in
     let in_dst = block_size - (!d land block_mask) in
-    let n = Stdlib.min (Stdlib.min in_src in_dst) !remaining in
+    let n = Int.min (Int.min in_src in_dst) !remaining in
     emit t Access.Load !s n;
     emit t Access.Store !d n;
     (match find_block t (!s lsr block_bits) with

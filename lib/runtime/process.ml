@@ -182,16 +182,16 @@ let do_op t =
   let size = Dist.sample_size s.Spec.size_dist t.rng ~min_bytes:8 in
   let addr = h.Core.Allocator.h_malloc ~size in
   let wbytes =
-    Stdlib.max 8 (int_of_float (s.Spec.write_fraction *. float_of_int size))
+    Int.max 8 (int_of_float (s.Spec.write_fraction *. float_of_int size))
   in
-  touch_object t ~addr ~bytes:(Stdlib.min wbytes size)
+  touch_object t ~addr ~bytes:(Int.min wbytes size)
     ~kind:Mm_memsim.Access.Store;
   push_live t addr size;
   (* Re-reference recently created objects (the app actually uses them). *)
   for _ = 1 to s.Spec.obj_touches_per_op do
     let idx = pick_recent t in
     touch_object t ~addr:t.live_addr.(idx)
-      ~bytes:(Stdlib.min t.live_size.(idx) 64)
+      ~bytes:(Int.min t.live_size.(idx) 64)
       ~kind:Mm_memsim.Access.Load
   done;
   (* Occasional realloc (growing buffers, arrays). *)
@@ -201,7 +201,7 @@ let do_op t =
   if c.realloc_credit >= 1.0 && t.nlive > 0 then begin
     c.realloc_credit <- c.realloc_credit -. 1.0;
     let idx = pick_recent t in
-    let nsize = t.live_size.(idx) + Stdlib.max 8 (t.live_size.(idx) / 2) in
+    let nsize = t.live_size.(idx) + Int.max 8 (t.live_size.(idx) / 2) in
     let naddr = h.Core.Allocator.h_realloc ~addr:t.live_addr.(idx) ~size:nsize in
     t.live_addr.(idx) <- naddr;
     t.live_size.(idx) <- nsize

@@ -22,7 +22,7 @@ let create policy ~cores =
   if cores < 1 then invalid_arg "Dispatch.create: cores must be >= 1";
   { policy; cores; cursor = 0 }
 
-let pick t ~load ~flow =
+let pick t ~(load : int -> int) ~flow =
   match t.policy with
   | Round_robin ->
     let c = t.cursor in

@@ -65,7 +65,7 @@ val validate : t -> unit
     [0, 1], or a queue limit below 1. *)
 
 val admission_name : admission -> string
-(** ["always"] | ["queue:<limit>"] | ["deadline"]. *)
+(** ["always"] | ["queue:<limit>"] | ["deadline-aware"]. *)
 
 val admission_of_name : string -> (admission, string) result
 (** Inverse of {!admission_name}; the [Error] names the valid forms. *)

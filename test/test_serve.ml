@@ -480,6 +480,469 @@ let test_collapse_helpers () =
     (Sweep.collapse_rate [ mk 50.0 49.0; mk 100.0 90.0 ]);
   Alcotest.(check (option (float 1e-9))) "empty" None (Sweep.collapse_rate [])
 
+(* --- Reference model ---
+
+   The simulator's event loop as it stood before originals, timeouts and
+   retries got their own event sources: every event, all [requests]
+   originals included, goes through one binary heap on (time, push
+   sequence).  Slow but obviously ordered; [Sim.run] must agree with it
+   on every outcome field. *)
+
+module Reference = struct
+  module Histogram = Mm_stats.Histogram
+
+  type req_state = Queued | Serving | Done | Abandoned
+
+  type attempt = {
+    a_orig : int;  (** index of the original request *)
+    a_try : int;  (** 0 = original, k = k-th retry *)
+    a_arrival : float;
+    mutable a_state : req_state;
+    mutable a_timed_out : bool;
+  }
+
+  type event = Arrive of attempt | Timeout of attempt
+
+  (* Binary min-heap on (time, push sequence): equal-time events pop in
+     push order, which keeps the event order — and therefore the run — a
+     pure function of the configuration. *)
+  module Heap = struct
+    type t = {
+      mutable times : float array;
+      mutable seqs : int array;
+      mutable evs : event array;
+      mutable len : int;
+    }
+
+    let dummy = Arrive { a_orig = -1; a_try = 0; a_arrival = 0.0; a_state = Done; a_timed_out = false }
+
+    let create cap =
+      let cap = Stdlib.max 16 cap in
+      { times = Array.make cap 0.0; seqs = Array.make cap 0; evs = Array.make cap dummy; len = 0 }
+
+    let before h i j =
+      h.times.(i) < h.times.(j)
+      || (h.times.(i) = h.times.(j) && h.seqs.(i) < h.seqs.(j))
+
+    let swap h i j =
+      let t = h.times.(i) in h.times.(i) <- h.times.(j); h.times.(j) <- t;
+      let s = h.seqs.(i) in h.seqs.(i) <- h.seqs.(j); h.seqs.(j) <- s;
+      let e = h.evs.(i) in h.evs.(i) <- h.evs.(j); h.evs.(j) <- e
+
+    let push h time seq ev =
+      if h.len = Array.length h.times then begin
+        let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+        h.times <- grow h.times 0.0;
+        h.seqs <- grow h.seqs 0;
+        h.evs <- grow h.evs dummy
+      end;
+      let i = ref h.len in
+      h.times.(!i) <- time;
+      h.seqs.(!i) <- seq;
+      h.evs.(!i) <- ev;
+      h.len <- h.len + 1;
+      while !i > 0 && before h !i ((!i - 1) / 2) do
+        swap h !i ((!i - 1) / 2);
+        i := (!i - 1) / 2
+      done
+
+    let min_time h = if h.len = 0 then None else Some h.times.(0)
+
+    let pop h =
+      assert (h.len > 0);
+      let ev = h.evs.(0) in
+      h.len <- h.len - 1;
+      if h.len > 0 then begin
+        h.times.(0) <- h.times.(h.len);
+        h.seqs.(0) <- h.seqs.(h.len);
+        h.evs.(0) <- h.evs.(h.len);
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < h.len && before h l !smallest then smallest := l;
+          if r < h.len && before h r !smallest then smallest := r;
+          if !smallest <> !i then begin
+            swap h !i !smallest;
+            i := !smallest
+          end
+          else continue := false
+        done
+      end;
+      ev
+  end
+
+  let run ?(policy = Policy.none) (cfg : Sim.config) ~service =
+    let n = cfg.Sim.requests in
+    let cores = cfg.Sim.cores in
+    (* All randomness up front, one split stream per purpose, so the event
+       loop below is pure bookkeeping and a sweep's streams do not
+       interleave differently as the rate changes.  The retry stream is
+       split last: with [Policy.none] it is never drawn and the first three
+       streams are bit-identical to the pre-policy simulator's. *)
+    let root = Rng.create ~seed:cfg.Sim.seed in
+    let arr_rng = Rng.split root in
+    let svc_rng = Rng.split root in
+    let flow_rng = Rng.split root in
+    let retry_rng = Rng.split root in
+    let unit = Arrival.unit_times cfg.Sim.arrival arr_rng n in
+    let arrivals = Array.map (fun t -> t /. cfg.Sim.rate) unit in
+    let mult = Array.init n (fun _ -> Rng.exponential svc_rng ~mean:1.0) in
+    let flow = Array.init n (fun _ -> Rng.int flow_rng ~bound:(8 * cores)) in
+    let warmup = int_of_float (cfg.Sim.warmup_frac *. float_of_int n) in
+
+    let queues : attempt Queue.t array = Array.init cores (fun _ -> Queue.create ()) in
+    let busy : attempt option array = Array.make cores None in
+    let busy_done = Array.make cores infinity in
+    let busy_count = ref 0 in
+    let busy_seconds = ref 0.0 in
+    let dispatcher = Dispatch.create cfg.Sim.dispatch ~cores in
+    let load c =
+      Queue.length queues.(c) + (match busy.(c) with Some _ -> 1 | None -> 0)
+    in
+
+    let hist = Histogram.create () in
+    let measured = ref 0 in
+    let outstanding = ref 0 in
+    let max_outstanding = ref 0 in
+    let attempts = ref 0 in
+    let completions = ref 0 in
+    let ok = ref 0 in
+    let timeouts = ref 0 in
+    let sheds = ref 0 in
+    let give_ups = ref 0 in
+    let last_completion = ref 0.0 in
+
+    (* An original is resolved by its first successful completion or by
+       exhausting its retries; the run ends when every original is resolved
+       and the servers have drained the leftover (zombie) work. *)
+    let resolved = ref 0 in
+    let orig_done = Array.make n false in
+    let resolve_orig i =
+      if not orig_done.(i) then begin
+        orig_done.(i) <- true;
+        incr resolved
+      end
+    in
+
+    let heap = Heap.create (2 * n) in
+    let seq = ref 0 in
+    let push time ev =
+      Heap.push heap time !seq ev;
+      incr seq
+    in
+    Array.iteri
+      (fun i t ->
+        push t
+          (Arrive { a_orig = i; a_try = 0; a_arrival = t; a_state = Queued; a_timed_out = false }))
+      arrivals;
+
+    let backoff k =
+      (* Capped exponential: base, 2*base, 4*base, ... up to cap, scaled by
+         a deterministic jitter draw from [1 - jitter, 1]. *)
+      let b =
+        Float.min policy.Policy.backoff_cap
+          (policy.Policy.backoff_base *. (2.0 ** float_of_int (k - 1)))
+      in
+      let j = policy.Policy.jitter in
+      if j <= 0.0 then b else b *. (1.0 -. j +. (j *. Rng.float retry_rng))
+    in
+    let retry_or_give_up (a : attempt) ~now =
+      if a.a_try < policy.Policy.max_retries then begin
+        let t = now +. backoff (a.a_try + 1) in
+        push t
+          (Arrive
+             { a_orig = a.a_orig; a_try = a.a_try + 1; a_arrival = t;
+               a_state = Queued; a_timed_out = false })
+      end
+      else begin
+        incr give_ups;
+        resolve_orig a.a_orig
+      end
+    in
+
+    let start_service core (a : attempt) now =
+      incr busy_count;
+      let k = Stdlib.min !busy_count (Array.length service) in
+      let dur = service.(k - 1) *. mult.(a.a_orig) in
+      a.a_state <- Serving;
+      busy.(core) <- Some a;
+      busy_done.(core) <- now +. dur;
+      busy_seconds := !busy_seconds +. dur
+    in
+    (* Dequeue the next live attempt, discarding ones abandoned by their
+       timeout while they waited. *)
+    let rec next_live core =
+      match Queue.take_opt queues.(core) with
+      | None -> None
+      | Some a ->
+        if a.a_state = Abandoned then begin
+          decr outstanding;
+          next_live core
+        end
+        else Some a
+    in
+
+    let handle_arrival (a : attempt) now =
+      incr attempts;
+      let core = Dispatch.pick dispatcher ~load ~flow:flow.(a.a_orig) in
+      let admitted =
+        match policy.Policy.admission with
+        | Policy.Always -> true
+        | Policy.Queue_limit l -> load core < l
+        | Policy.Deadline_aware -> (
+          match policy.Policy.deadline with
+          | None -> true
+          | Some d ->
+            (* Predicted wait from the chosen core's backlog at current
+               contention; pessimistic admission sheds work that would
+               only time out in the queue. *)
+            let k = Stdlib.min (!busy_count + 1) (Array.length service) in
+            float_of_int (load core) *. service.(k - 1) <= d)
+      in
+      if not admitted then begin
+        incr sheds;
+        retry_or_give_up a ~now
+      end
+      else begin
+        incr outstanding;
+        if !outstanding > !max_outstanding then max_outstanding := !outstanding;
+        (match policy.Policy.deadline with
+        | Some d -> push (now +. d) (Timeout a)
+        | None -> ());
+        match busy.(core) with
+        | None -> start_service core a now
+        | Some _ -> Queue.push a queues.(core)
+      end
+    in
+
+    let handle_timeout (a : attempt) now =
+      match a.a_state with
+      | Done | Abandoned -> ()
+      | Queued ->
+        (* Client walks away; the slot is discarded when the core reaches
+           it, so the abandoned request wastes queue space but no CPU. *)
+        a.a_state <- Abandoned;
+        a.a_timed_out <- true;
+        incr timeouts;
+        retry_or_give_up a ~now
+      | Serving ->
+        (* Too late to shed: the server finishes the request anyway and
+           the work is wasted — the essence of metastable overload. *)
+        a.a_timed_out <- true;
+        incr timeouts;
+        retry_or_give_up a ~now
+    in
+
+    let handle_departure core dep_t =
+      let a = match busy.(core) with Some a -> a | None -> assert false in
+      a.a_state <- Done;
+      incr completions;
+      decr outstanding;
+      last_completion := dep_t;
+      busy.(core) <- None;
+      busy_done.(core) <- infinity;
+      decr busy_count;
+      if not a.a_timed_out then begin
+        incr ok;
+        resolve_orig a.a_orig;
+        if a.a_orig >= warmup then begin
+          Histogram.add hist (Float.max 0.0 (dep_t -. a.a_arrival));
+          incr measured
+        end
+      end;
+      match next_live core with
+      | Some b -> start_service core b dep_t
+      | None -> ()
+    in
+
+    while !resolved < n || !busy_count > 0 do
+      (* Next departure: linear scan — at most [cores] candidates, ties to
+         the lowest core index so event order is deterministic. *)
+      let dep_core = ref (-1) in
+      for c = 0 to cores - 1 do
+        if
+          busy.(c) <> None
+          && (!dep_core < 0 || busy_done.(c) < busy_done.(!dep_core))
+        then dep_core := c
+      done;
+      let dep_t = if !dep_core >= 0 then busy_done.(!dep_core) else infinity in
+      let ev_t = match Heap.min_time heap with Some t -> t | None -> infinity in
+      if dep_t <= ev_t then
+        (* Departure first on a tie: the freed core is visible to the
+           arrival dispatched at the same instant. *)
+        handle_departure !dep_core dep_t
+      else
+        match Heap.pop heap with
+        | Arrive a -> handle_arrival a ev_t
+        | Timeout a -> handle_timeout a ev_t
+    done;
+    let horizon = arrivals.(n - 1) in
+    let makespan = Float.max !last_completion epsilon_float in
+    (* Saturation = the backlog outlived the arrivals by more than drain
+       slack: 5% of the horizon, but never less than a handful of all-busy
+       service times, so short sweeps are not flagged for the ordinary
+       tail-draining every finite run ends with. *)
+    let slack = Float.max (0.05 *. horizon) (10.0 *. service.(cores - 1)) in
+    {
+      Sim.o_config = cfg;
+      o_policy = policy;
+      hist;
+      measured = !measured;
+      achieved_rps = float_of_int !completions /. makespan;
+      utilization = !busy_seconds /. (float_of_int cores *. makespan);
+      saturated = makespan > horizon +. slack;
+      max_outstanding = !max_outstanding;
+      attempts = !attempts;
+      completions = !completions;
+      ok = !ok;
+      timeouts = !timeouts;
+      sheds = !sheds;
+      give_ups = !give_ups;
+      goodput_rps = float_of_int !ok /. makespan;
+      retry_amplification = float_of_int !attempts /. float_of_int n;
+    }
+end
+
+module Hist = Mm_stats.Histogram
+
+(* Outcome fields that differ between [a] and [b], by name; [hist] is
+   compared by count, min, max and the reported quantiles. *)
+let outcome_diffs (a : Sim.outcome) (b : Sim.outcome) =
+  let int_f name f = if f a <> f b then [ Printf.sprintf "%s %d <> %d" name (f a) (f b) ] else [] in
+  let float_f name f =
+    if Float.equal (f a) (f b) then []
+    else [ Printf.sprintf "%s %h <> %h" name (f a) (f b) ]
+  in
+  let q p (o : Sim.outcome) = Hist.quantile o.Sim.hist p in
+  List.concat
+    [
+      int_f "measured" (fun o -> o.Sim.measured);
+      float_f "achieved_rps" (fun o -> o.Sim.achieved_rps);
+      float_f "utilization" (fun o -> o.Sim.utilization);
+      (if a.Sim.saturated <> b.Sim.saturated then [ "saturated" ] else []);
+      int_f "max_outstanding" (fun o -> o.Sim.max_outstanding);
+      int_f "attempts" (fun o -> o.Sim.attempts);
+      int_f "completions" (fun o -> o.Sim.completions);
+      int_f "ok" (fun o -> o.Sim.ok);
+      int_f "timeouts" (fun o -> o.Sim.timeouts);
+      int_f "sheds" (fun o -> o.Sim.sheds);
+      int_f "give_ups" (fun o -> o.Sim.give_ups);
+      float_f "goodput_rps" (fun o -> o.Sim.goodput_rps);
+      float_f "retry_amplification" (fun o -> o.Sim.retry_amplification);
+      int_f "hist count" (fun o -> Hist.count o.Sim.hist);
+      float_f "hist min" (fun o -> Hist.min_recorded o.Sim.hist);
+      float_f "hist max" (fun o -> Hist.max_recorded o.Sim.hist);
+      float_f "p50" (q 0.5);
+      float_f "p90" (q 0.9);
+      float_f "p99" (q 0.99);
+      float_f "p999" (q 0.999);
+      (if a.Sim.o_config <> b.Sim.o_config || a.Sim.o_policy <> b.Sim.o_policy
+       then [ "config or policy" ]
+       else []);
+    ]
+
+(* 10 ms per request at one busy core, inflating with concurrency. *)
+let inflating_service cores =
+  Array.init cores (fun k -> 0.01 *. (1.0 +. (0.15 *. float_of_int k)))
+
+(* Configurations over every knob the event loop branches on.
+   [backoff_base] equals the deadline, so with zero jitter the retry of an
+   attempt shed at some instant falls due with the timeout of one admitted
+   at that instant, once requests share instants (below).
+
+   Every event time is an offset from its chain's original arrival, and
+   the originals arrive at distinct times, so equal-time events need
+   offsets below the float resolution of the clock.  Most rates run from
+   a third of capacity to three times it; the rest sit at either end of
+   that resolution:
+   - far below capacity (1e-16..1e-14), where service times and
+     deadlines vanish next to the arrival times, so an attempt's
+     departure, timeout and retries fall due at its arrival instant;
+   - far above it (1e14..1e16), where all requests arrive within a few
+     ulps of the deadline, so timeouts and retries of different
+     requests land on the same instants. *)
+let gen_sim_case =
+  QCheck.Gen.(
+    let* cores = int_range 1 8 in
+    let* dispatch = oneofl Dispatch.all in
+    let* arrival = oneofl Arrival.all in
+    let* requests = int_range 1 400 in
+    let* load =
+      frequency
+        [ (2, float_range 0.3 3.0);
+          (1, map (fun x -> x *. 1e-16) (float_range 1.0 100.0));
+          (1, map (fun x -> x *. 1e14) (float_range 1.0 100.0)) ]
+    in
+    let* seed = int_range 0 10_000 in
+    let* deadline_ms = int_range 5 60 in
+    let* max_retries = int_range 0 3 in
+    let* jitter = oneofl [ 0.0; 0.5 ] in
+    let* plain = frequencyl [ (1, true); (3, false) ] in
+    let* admission =
+      oneofl
+        [ Policy.Always; Policy.Queue_limit 1; Policy.Queue_limit 3;
+          Policy.Deadline_aware ]
+    in
+    let service = inflating_service cores in
+    let capacity = float_of_int cores /. service.(cores - 1) in
+    let deadline = float_of_int deadline_ms /. 1000.0 in
+    let policy =
+      if plain then Policy.none
+      else
+        Policy.make ~deadline ~max_retries ~backoff_base:deadline ~jitter ~admission ()
+    in
+    return
+      ( { Sim.cores; arrival; dispatch; rate = load *. capacity; requests;
+          warmup_frac = 0.1; seed },
+        policy,
+        service ))
+
+let print_sim_case ((c : Sim.config), policy, _) =
+  Printf.sprintf "cores=%d %s %s rate=%g requests=%d seed=%d policy=%s" c.Sim.cores
+    (Arrival.name c.Sim.arrival) (Dispatch.name c.Sim.dispatch) c.Sim.rate
+    c.Sim.requests c.Sim.seed (Policy.to_key policy)
+
+let prop_sim_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"Sim.run = heap-everything reference model"
+    (QCheck.make ~print:print_sim_case gen_sim_case)
+    (fun (c, policy, service) ->
+      match outcome_diffs (Sim.run ~policy c ~service) (Reference.run ~policy c ~service) with
+      | [] -> true
+      | diffs -> QCheck.Test.fail_reportf "%s" (String.concat "; " diffs))
+
+(* Minor words per attempt of one [Sim.run], after a warm-up run. *)
+let words_per_attempt ?policy c ~service =
+  ignore (Sim.run ?policy c ~service : Sim.outcome);
+  let before = Gc.minor_words () in
+  let o = Sim.run ?policy c ~service in
+  (Gc.minor_words () -. before) /. float_of_int o.Sim.attempts
+
+(* Minor words per attempt, dev profile: 8 least-loaded cores with
+   [inflating_service], plain below capacity and
+   resilient at 1.8x capacity, where it sheds, times out and retries.
+   Each bound is 1.25x the measured value (18.48 and 16.96); the
+   heap-everything loop took 31.25 and 29.61. *)
+let plain_words_bound = 23.1
+
+let resilient_words_bound = 21.2
+
+let test_sim_allocation () =
+  let service = inflating_service 8 in
+  let at rate = cfg ~cores:8 ~dispatch:Dispatch.Least_loaded ~rate ~requests:5000 () in
+  let check label bound w =
+    if w > bound then
+      Alcotest.failf "%s: %.2f minor words per attempt, bound %.2f" label w bound
+  in
+  check "plain" plain_words_bound (words_per_attempt (at 300.0) ~service);
+  check "resilient" resilient_words_bound
+    (words_per_attempt
+       ~policy:
+         (Policy.make ~deadline:0.05 ~max_retries:3 ~jitter:0.5
+            ~admission:(Policy.Queue_limit 16) ())
+       (at 700.0) ~service)
+
 (* --- Contention + end-to-end (engine-backed, small scale) --- *)
 
 (* Scale 0.08, like test_experiments' paper-claim tests: the region
@@ -671,6 +1134,11 @@ let () =
             test_deadline_admission_sheds_doomed_work;
           Alcotest.test_case "deterministic" `Quick test_policy_deterministic;
           Alcotest.test_case "collapse helpers" `Quick test_collapse_helpers;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_sim_matches_reference;
+          Alcotest.test_case "allocation per attempt" `Quick test_sim_allocation;
         ] );
       ( "end-to-end",
         [
