@@ -5,15 +5,11 @@
 
 module Store = Mm_store.Store
 module Fault = Mm_fault.Fault
+module Machine = Mm_cachesim.Machine
+module Spec = Mm_workload.Spec
+module Factory = Mm_runtime.Alloc_factory
 
-let ctx_of ~scale ~seed ~cache ~refresh ~cache_dir =
-  let store =
-    if cache then
-      Some
-        (Store.open_ ?dir:cache_dir
-           ~fingerprint:Mm_runtime.Version.sim_fingerprint ())
-    else None
-  in
+let ctx_of ~scale ~seed (store, refresh) =
   Mm_experiments.Context.create ~scale ~seed ?store ~refresh ()
 
 (* Execution accounting goes to stderr so that a warm (store-served) run
@@ -25,23 +21,69 @@ let print_exec_summary ctx =
   | Some s ->
     Printf.eprintf
       "[mmstudy] simulations: %d, disk hits: %d, serve sims: %d, serve \
-       hits: %d, store errors: %d%s, store: %s\n%!"
+       hits: %d, store errors: %d, store: %s\n%!"
       (Mm_experiments.Context.simulated ctx)
       (Mm_experiments.Context.disk_hits ctx)
       (Mm_experiments.Context.blob_computed ctx)
       (Mm_experiments.Context.blob_disk_hits ctx)
       (Mm_experiments.Context.store_errors ctx)
-      (if Mm_experiments.Context.store_degraded ctx then
-         " (store degraded: running in-memory)"
-       else "")
       (Store.dir s)
 
-let scale_arg =
-  let doc =
-    "Transaction scale: fraction of Table 3's per-transaction call counts \
-     to simulate (results are reported at full-transaction equivalents)."
+(* --- converters ------------------------------------------------------
+
+   Every flag value is validated by its Cmdliner converter, so a bad value
+   is a usage error naming the flag and the valid values (exit 124), never
+   an assertion deep in the simulator.  Only checks that relate two flags
+   run at term level. *)
+
+let pp_name name ppf v = Format.pp_print_string ppf (name v)
+
+(* One of a module's values, by its stable name. *)
+let choice ~what all name =
+  let parse s =
+    match List.find_opt (fun v -> name v = s) all with
+    | Some v -> Ok v
+    | None ->
+      Error
+        (Printf.sprintf "unknown %s %S; valid: %s" what s
+           (String.concat ", " (List.map name all)))
   in
-  Cmdliner.Arg.(value & opt float 0.25 & info [ "scale" ] ~docv:"S" ~doc)
+  Cmdliner.Arg.conv' (parse, pp_name name)
+
+let machine_conv =
+  choice ~what:"machine" [ Machine.xeon; Machine.niagara ] (fun m ->
+      m.Machine.name)
+
+let workloads = Spec.php_apps @ [ Spec.rails ]
+
+let workload_conv = choice ~what:"workload" workloads (fun s -> s.Spec.name)
+
+let alloc_conv = choice ~what:"allocator" Factory.all_kinds Factory.kind_name
+
+(* A number of [base]'s type that must satisfy [ok]; [what] completes
+   "FLAG must be ...". *)
+let checked base ~flag ~what ok =
+  let parse s =
+    match Cmdliner.Arg.conv_parser base s with
+    | Error (`Msg msg) -> Error msg
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (Printf.sprintf "%s must be %s (got %s)" flag what s)
+  in
+  Cmdliner.Arg.conv' (parse, Cmdliner.Arg.conv_printer base)
+
+let scale_conv =
+  checked Cmdliner.Arg.float ~flag:"--scale" ~what:"in (0, 1]" (fun s ->
+      s > 0.0 && s <= 1.0)
+
+let scale_arg ~default ~doc =
+  Cmdliner.Arg.(value & opt scale_conv default & info [ "scale" ] ~docv:"S" ~doc)
+
+let transaction_scale_arg =
+  scale_arg ~default:0.25
+    ~doc:
+      "Transaction scale: fraction of Table 3's per-transaction call counts \
+       to simulate, in (0, 1] (results are reported at full-transaction \
+       equivalents)."
 
 let seed_arg =
   let doc = "Random seed (every run is deterministic given the seed)." in
@@ -56,12 +98,10 @@ let jobs_arg =
   in
   Cmdliner.Arg.(
     value
-    & opt int (Mm_sched.Pool.default_jobs ())
+    & opt
+        (checked int ~flag:"--jobs" ~what:">= 1" (fun j -> j >= 1))
+        (Mm_sched.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"J" ~doc)
-
-let check_jobs jobs =
-  if jobs < 1 then Error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs)
-  else Ok jobs
 
 let cache_arg =
   let on =
@@ -93,27 +133,50 @@ let cache_dir_arg =
   Cmdliner.Arg.(
     value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let fault_seed_arg =
-  let doc =
-    "Enable deterministic fault injection (I/O errors, torn writes, worker \
-     crashes) with this plan seed.  Faults change counters and timing, \
-     never results — retries and recomputation absorb them.  Equivalent to \
-     setting \\$MM_FAULT_SEED."
+(* The store flags, checked together: --no-cache asks for no store at
+   all, so flags that only make sense with a store are conflicts, not
+   silent no-ops.  Yields the store to attach and the refresh flag. *)
+let store_term =
+  let open_store cache refresh cache_dir =
+    if (not cache) && refresh then
+      Error "--no-cache conflicts with --refresh (nothing to refresh)"
+    else if (not cache) && cache_dir <> None then
+      Error "--no-cache conflicts with --cache-dir (no store will be opened)"
+    else if not cache then Ok (None, false)
+    else
+      Ok
+        ( Some
+            (Store.open_ ?dir:cache_dir
+               ~fingerprint:Mm_runtime.Version.sim_fingerprint ()),
+          refresh )
   in
+  Cmdliner.Term.(
+    term_result' (const open_store $ cache_arg $ refresh_arg $ cache_dir_arg))
+
+(* The machine and a core count that fits it. *)
+let machine_cores_term ~cores_doc =
+  let machine =
+    Cmdliner.Arg.(
+      value & opt machine_conv Machine.xeon
+      & info [ "machine" ] ~docv:"M" ~doc:"Machine model: xeon or niagara.")
+  in
+  let cores =
+    Cmdliner.Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc:cores_doc)
+  in
+  let check machine cores =
+    if cores < 1 || cores > machine.Machine.cores then
+      Error
+        (Printf.sprintf "--cores must be in 1..%d for %s (got %d)"
+           machine.Machine.cores machine.Machine.name cores)
+    else Ok (machine, cores)
+  in
+  Cmdliner.Term.(term_result' (const check $ machine $ cores))
+
+let workload_arg =
+  let doc = "Workload (see `mmstudy list`)." in
   Cmdliner.Arg.(
-    value & opt (some int) None & info [ "fault-seed" ] ~docv:"N" ~doc)
-
-let apply_fault_seed fault_seed =
-  Option.iter (fun seed -> Fault.configure ~seed ()) fault_seed
-
-(* --no-cache asks for no store at all; flags that only make sense with a
-   store are conflicts, not silent no-ops. *)
-let check_cache_flags ~cache ~refresh ~cache_dir =
-  if (not cache) && refresh then
-    Error "--no-cache conflicts with --refresh (nothing to refresh)"
-  else if (not cache) && cache_dir <> None then
-    Error "--no-cache conflicts with --cache-dir (no store will be opened)"
-  else Ok ()
+    value & opt workload_conv Spec.mediawiki_ro
+    & info [ "workload" ] ~docv:"W" ~doc)
 
 let list_cmd =
   let run () =
@@ -129,15 +192,13 @@ let list_cmd =
     print_endline "\nWorkloads:";
     List.iter
       (fun s ->
-        Printf.printf "  %-14s %s (%d mallocs/txn, mean %.1f B)\n"
-          s.Mm_workload.Spec.name s.Mm_workload.Spec.paper_name
-          s.Mm_workload.Spec.mallocs s.Mm_workload.Spec.mean_size)
-      (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]);
+        Printf.printf "  %-14s %s (%d mallocs/txn, mean %.1f B)\n" s.Spec.name
+          s.Spec.paper_name s.Spec.mallocs s.Spec.mean_size)
+      workloads;
     print_endline "\nAllocators:";
     List.iter
-      (fun k ->
-        Printf.printf "  %s\n" (Mm_runtime.Alloc_factory.kind_name k))
-      Mm_runtime.Alloc_factory.all_kinds;
+      (fun k -> Printf.printf "  %s\n" (Factory.kind_name k))
+      Factory.all_kinds;
     print_endline "\nMachines: xeon (2x quad-core Clovertown), niagara (UltraSPARC T1)"
   in
   Cmdliner.Cmd.v
@@ -145,139 +206,89 @@ let list_cmd =
     Cmdliner.Term.(const run $ const ())
 
 let run_cmd =
-  let id_arg =
+  let experiment_conv =
+    let parse = function
+      | "all" -> Ok None
+      | id -> (
+        match Mm_experiments.Registry.find id with
+        | Some e -> Ok (Some e)
+        | None ->
+          (* Fixed words first: Cmdliner wraps long messages at spaces. *)
+          Error
+            (Printf.sprintf "unknown experiment; valid ids: %s (got %S)"
+               (String.concat ", " (Mm_experiments.Registry.ids @ [ "all" ]))
+               id))
+    in
+    let name = function
+      | None -> "all"
+      | Some e -> e.Mm_experiments.Registry.id
+    in
+    Cmdliner.Arg.conv' (parse, pp_name name)
+  in
+  let experiment_arg =
     let doc = "Experiment id (see `mmstudy list`), or `all`." in
     Cmdliner.Arg.(
-      required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
+      required
+      & pos 0 (some experiment_conv) None
+      & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run id scale seed jobs cache refresh cache_dir fault_seed =
-    match (check_jobs jobs, check_cache_flags ~cache ~refresh ~cache_dir) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok jobs, Ok () -> (
-      if id <> "all" && Option.is_none (Mm_experiments.Registry.find id) then
-        `Error
-          ( false,
-            Printf.sprintf "unknown experiment %S; valid ids: %s" id
-              (String.concat ", " (Mm_experiments.Registry.ids @ [ "all" ])) )
-      else begin
-        apply_fault_seed fault_seed;
-        let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
-        (match Mm_experiments.Registry.find id with
-        | Some e -> Mm_experiments.Registry.run ~jobs ctx e
-        | None -> Mm_experiments.Registry.run_all ~jobs ctx);
-        print_exec_summary ctx;
-        `Ok ()
-      end)
+  let run experiment scale seed jobs store =
+    let ctx = ctx_of ~scale ~seed store in
+    (match experiment with
+    | Some e -> Mm_experiments.Registry.run ~jobs ctx e
+    | None -> Mm_experiments.Registry.run_all ~jobs ctx);
+    print_exec_summary ctx
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "run"
        ~doc:"Run one experiment (a table or figure of the paper) or all.")
     Cmdliner.Term.(
-      ret
-        (const run $ id_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg
-       $ refresh_arg $ cache_dir_arg $ fault_seed_arg))
+      const run $ experiment_arg $ transaction_scale_arg $ seed_arg $ jobs_arg
+      $ store_term)
 
 let sim_cmd =
-  let machine_arg =
-    let doc = "Machine model: xeon or niagara." in
-    Cmdliner.Arg.(value & opt string "xeon" & info [ "machine" ] ~docv:"M" ~doc)
-  in
-  let cores_arg =
-    let doc = "Active cores (1 to the machine's core count)." in
-    Cmdliner.Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc)
-  in
   let alloc_arg =
     let doc = "Allocator (see `mmstudy list`)." in
     Cmdliner.Arg.(
-      value & opt string "ddmalloc" & info [ "alloc" ] ~docv:"A" ~doc)
+      value & opt alloc_conv (Factory.Dd None) & info [ "alloc" ] ~docv:"A" ~doc)
   in
-  let workload_arg =
-    let doc = "Workload (see `mmstudy list`)." in
-    Cmdliner.Arg.(
-      value & opt string "mediawiki-ro" & info [ "workload" ] ~docv:"W" ~doc)
-  in
-  let run machine cores alloc workload scale seed jobs cache refresh cache_dir
-      fault_seed =
-    let machine_v =
-      match machine with
-      | "xeon" -> Some Mm_cachesim.Machine.xeon
-      | "niagara" -> Some Mm_cachesim.Machine.niagara
-      | _ -> None
-    in
-    match
-      ( machine_v,
-        Mm_runtime.Alloc_factory.of_name alloc,
-        Mm_workload.Spec.by_name workload,
-        check_jobs jobs,
-        check_cache_flags ~cache ~refresh ~cache_dir )
-    with
-    | None, _, _, _, _ ->
-      `Error
-        (false, Printf.sprintf "unknown machine %S; valid: xeon, niagara" machine)
-    | _, None, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown allocator %S; valid: %s" alloc
-            (String.concat ", "
-               (List.map Mm_runtime.Alloc_factory.kind_name
-                  Mm_runtime.Alloc_factory.all_kinds)) )
-    | _, _, None, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown workload %S; valid: %s" workload
-            (String.concat ", "
-               (List.map
-                  (fun s -> s.Mm_workload.Spec.name)
-                  (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]))) )
-    | _, _, _, Error msg, _ | _, _, _, _, Error msg -> `Error (false, msg)
-    | Some machine, Some _, Some _, Ok _, Ok ()
-      when cores < 1 || cores > machine.Mm_cachesim.Machine.cores ->
-      `Error
-        ( false,
-          Printf.sprintf "--cores must be in 1..%d for %s (got %d)"
-            machine.Mm_cachesim.Machine.cores
-            machine.Mm_cachesim.Machine.name cores )
-    | Some machine, Some kind, Some spec, Ok jobs, Ok () ->
-      apply_fault_seed fault_seed;
-      let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
-      let key =
-        Mm_experiments.Context.php_key ctx ~machine ~cores ~kind ~spec ()
-      in
-      Mm_experiments.Context.prefetch ctx ~jobs [ key ];
-      let m = Mm_experiments.Context.force ctx key in
-      let p = m.Mm_runtime.Engine.perf in
-      let module P = Mm_cachesim.Perf_model in
-      let module E = Mm_cachesim.Events in
-      Printf.printf "%s, %d core(s), %s, %s (scale %.2f):\n" machine.Mm_cachesim.Machine.name
-        cores alloc workload scale;
-      Printf.printf "  throughput            %10.1f txn/s\n"
-        m.Mm_runtime.Engine.throughput;
-      Printf.printf "  cycles/txn            %10.0f (full-transaction equivalent)\n"
-        (p.P.cycles_per_txn /. scale);
-      Printf.printf "  memory mgmt share     %10.1f %%\n"
-        (100.0 *. p.P.breakdown.P.mgmt_cycles /. p.P.cycles_per_txn);
-      Printf.printf "  bus utilization       %10.2f\n" p.P.bus_utilization;
-      Printf.printf "  eff. memory latency   %10.0f cycles\n" p.P.mem_latency_eff;
-      let per c = Mm_runtime.Engine.event_per_txn m c /. scale in
-      List.iter
-        (fun c ->
-          Printf.printf "  %-20s  %10.0f /txn\n" (E.counter_name c) (per c))
-        E.all_counters;
-      Printf.printf "  consumption (mean)    %10s\n"
-        (Mm_stats.Table.fmt_bytes
-           (int_of_float
-              (Mm_stats.Summary.mean m.Mm_runtime.Engine.consumption /. scale)));
-      print_exec_summary ctx;
-      `Ok ()
+  let run (machine, cores) kind spec scale seed jobs store =
+    let ctx = ctx_of ~scale ~seed store in
+    let key = Mm_experiments.Context.php_key ctx ~machine ~cores ~kind ~spec () in
+    Mm_experiments.Context.prefetch ctx ~jobs [ key ];
+    let m = Mm_experiments.Context.force ctx key in
+    let p = m.Mm_runtime.Engine.perf in
+    let module P = Mm_cachesim.Perf_model in
+    let module E = Mm_cachesim.Events in
+    Printf.printf "%s, %d core(s), %s, %s (scale %.2f):\n" machine.Machine.name
+      cores (Factory.kind_name kind) spec.Spec.name scale;
+    Printf.printf "  throughput            %10.1f txn/s\n"
+      m.Mm_runtime.Engine.throughput;
+    Printf.printf "  cycles/txn            %10.0f (full-transaction equivalent)\n"
+      (p.P.cycles_per_txn /. scale);
+    Printf.printf "  memory mgmt share     %10.1f %%\n"
+      (100.0 *. p.P.breakdown.P.mgmt_cycles /. p.P.cycles_per_txn);
+    Printf.printf "  bus utilization       %10.2f\n" p.P.bus_utilization;
+    Printf.printf "  eff. memory latency   %10.0f cycles\n" p.P.mem_latency_eff;
+    let per c = Mm_runtime.Engine.event_per_txn m c /. scale in
+    List.iter
+      (fun c -> Printf.printf "  %-20s  %10.0f /txn\n" (E.counter_name c) (per c))
+      E.all_counters;
+    Printf.printf "  consumption (mean)    %10s\n"
+      (Mm_stats.Table.fmt_bytes
+         (int_of_float
+            (Mm_stats.Summary.mean m.Mm_runtime.Engine.consumption /. scale)));
+    print_exec_summary ctx
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "sim"
        ~doc:"Run one simulation configuration and print its full profile.")
     Cmdliner.Term.(
-      ret
-        (const run $ machine_arg $ cores_arg $ alloc_arg $ workload_arg
-       $ scale_arg $ seed_arg $ jobs_arg $ cache_arg $ refresh_arg
-       $ cache_dir_arg $ fault_seed_arg))
+      const run
+      $ machine_cores_term
+          ~cores_doc:"Active cores (1 to the machine's core count)."
+      $ alloc_arg $ workload_arg $ transaction_scale_arg $ seed_arg $ jobs_arg
+      $ store_term)
 
 (* --- the `mmstudy serve` subcommand ---------------------------------- *)
 
@@ -288,37 +299,30 @@ let sim_cmd =
    payloads — so output is byte-identical at any -j and a warm re-run
    performs zero simulations of either kind. *)
 let serve_cmd =
-  let machine_arg =
-    let doc = "Machine model: xeon or niagara." in
-    Cmdliner.Arg.(value & opt string "xeon" & info [ "machine" ] ~docv:"M" ~doc)
-  in
-  let cores_arg =
-    let doc = "Serving cores (1 to the machine's core count)." in
-    Cmdliner.Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc)
-  in
-  let workload_arg =
-    let doc = "Workload (see `mmstudy list`)." in
-    Cmdliner.Arg.(
-      value
-      & opt string "mediawiki-ro"
-      & info [ "workload" ] ~docv:"W" ~doc)
-  in
   let allocs_arg =
     let doc = "Comma-separated allocators to sweep (see `mmstudy list`)." in
     Cmdliner.Arg.(
       value
-      & opt string "php-default,region,ddmalloc"
+      & opt (list alloc_conv) Factory.[ Php_default; Region; Dd None ]
       & info [ "alloc" ] ~docv:"A,B,..." ~doc)
   in
   let arrival_arg =
     let doc = "Arrival process: poisson, or bursty (MMPP-2, 4x bursts)." in
     Cmdliner.Arg.(
-      value & opt string "poisson" & info [ "arrival" ] ~docv:"P" ~doc)
+      value
+      & opt
+          (choice ~what:"arrival" Mm_serve.Arrival.all Mm_serve.Arrival.name)
+          Mm_serve.Arrival.Poisson
+      & info [ "arrival" ] ~docv:"P" ~doc)
   in
   let dispatch_arg =
     let doc = "Dispatch policy: round-robin, least-loaded, or affinity." in
     Cmdliner.Arg.(
-      value & opt string "least-loaded" & info [ "dispatch" ] ~docv:"D" ~doc)
+      value
+      & opt
+          (choice ~what:"dispatch" Mm_serve.Dispatch.all Mm_serve.Dispatch.name)
+          Mm_serve.Dispatch.Least_loaded
+      & info [ "dispatch" ] ~docv:"D" ~doc)
   in
   let rps_arg =
     let doc =
@@ -326,7 +330,28 @@ let serve_cmd =
        (fractions 0.3..1.1 of the default allocator's capacity at the \
        chosen core count)."
     in
-    Cmdliner.Arg.(value & opt string "auto" & info [ "rps" ] ~docv:"R,..." ~doc)
+    (* [None] is the auto grid. *)
+    let parse s =
+      if s = "auto" then Ok None
+      else
+        let parts = String.split_on_char ',' s in
+        let rates = List.filter_map float_of_string_opt parts in
+        if List.length rates <> List.length parts then
+          Error "--rps must be `auto' or a comma-separated list of numbers"
+        else if List.exists (fun r -> not (r > 0.0)) rates then
+          Error "--rps rates must be positive"
+        else Ok (Some rates)
+    in
+    let print ppf = function
+      | None -> Format.pp_print_string ppf "auto"
+      | Some rates ->
+        Format.pp_print_string ppf
+          (String.concat "," (List.map (Printf.sprintf "%g") rates))
+    in
+    Cmdliner.Arg.(
+      value
+      & opt (conv' (parse, print)) None
+      & info [ "rps" ] ~docv:"R,..." ~doc)
   in
   let duration_arg =
     let doc =
@@ -334,7 +359,10 @@ let serve_cmd =
        duration times the highest swept rate, identical across points and \
        allocators so curves are comparable."
     in
-    Cmdliner.Arg.(value & opt float 5.0 & info [ "duration" ] ~docv:"S" ~doc)
+    Cmdliner.Arg.(
+      value
+      & opt (checked float ~flag:"--duration" ~what:"positive" (fun d -> d > 0.0)) 5.0
+      & info [ "duration" ] ~docv:"S" ~doc)
   in
   let timeout_arg =
     let doc =
@@ -342,14 +370,20 @@ let serve_cmd =
        queued or in service past its deadline counts as a timeout and the \
        client retries (see --retries)."
     in
-    Cmdliner.Arg.(value & opt float 0.0 & info [ "timeout" ] ~docv:"S" ~doc)
+    Cmdliner.Arg.(
+      value
+      & opt (checked float ~flag:"--timeout" ~what:">= 0 seconds" (fun t -> t >= 0.0)) 0.0
+      & info [ "timeout" ] ~docv:"S" ~doc)
   in
   let retries_arg =
     let doc =
       "Client retries after a timeout or shed, with capped exponential \
        backoff and jitter (0 = give up immediately)."
     in
-    Cmdliner.Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+    Cmdliner.Arg.(
+      value
+      & opt (checked int ~flag:"--retries" ~what:">= 0" (fun r -> r >= 0)) 0
+      & info [ "retries" ] ~docv:"N" ~doc)
   in
   let admission_arg =
     let doc =
@@ -358,241 +392,158 @@ let serve_cmd =
        (shed when the queue's expected wait already exceeds the deadline)."
     in
     Cmdliner.Arg.(
-      value & opt string "always" & info [ "admission" ] ~docv:"POLICY" ~doc)
+      value
+      & opt
+          (conv'
+             ( Mm_serve.Policy.admission_of_name,
+               pp_name Mm_serve.Policy.admission_name ))
+          Mm_serve.Policy.Always
+      & info [ "admission" ] ~docv:"POLICY" ~doc)
   in
   let auto_fractions = [ 0.3; 0.5; 0.7; 0.8; 0.9; 0.95; 1.0; 1.1 ] in
-  let parse_rps s =
-    if s = "auto" then Ok None
-    else
-      let parts = String.split_on_char ',' s in
-      let rates = List.filter_map float_of_string_opt parts in
-      if List.length rates <> List.length parts || rates = [] then
-        Error "--rps must be `auto' or a comma-separated list of numbers"
-      else if List.exists (fun r -> r <= 0.0) rates then
-        Error "--rps rates must be positive"
-      else Ok (Some rates)
-  in
-  let parse_allocs s =
-    let parts = String.split_on_char ',' s in
-    let kinds = List.filter_map Mm_runtime.Alloc_factory.of_name parts in
-    if List.length kinds <> List.length parts || kinds = [] then
-      Error
-        (Printf.sprintf "unknown allocator in --alloc %S; valid: %s" s
-           (String.concat ", "
-              (List.map Mm_runtime.Alloc_factory.kind_name
-                 Mm_runtime.Alloc_factory.all_kinds)))
-    else Ok kinds
-  in
   (* All-default policy flags mean the plain simulator: Policy.none, not
      an equivalent [make] product, so the blob key (and thus warm-store
      behavior) of a policy-free `mmstudy serve` is unchanged. *)
-  let parse_policy ~timeout ~retries ~admission =
-    match Mm_serve.Policy.admission_of_name admission with
-    | Error msg -> Error msg
-    | Ok _ when timeout < 0.0 -> Error "--timeout must be >= 0 seconds"
-    | Ok _ when retries < 0 -> Error "--retries must be >= 0"
-    | Ok adm ->
-      if timeout = 0.0 && retries = 0 && adm = Mm_serve.Policy.Always then
-        Ok Mm_serve.Policy.none
-      else
-        Ok
-          (match timeout with
-          | 0.0 -> Mm_serve.Policy.make ~max_retries:retries ~admission:adm ()
-          | d ->
-            Mm_serve.Policy.make ~deadline:d ~max_retries:retries
-              ~admission:adm ())
+  let policy_of ~timeout ~retries ~admission =
+    if timeout = 0.0 && retries = 0 && admission = Mm_serve.Policy.Always then
+      Mm_serve.Policy.none
+    else
+      Mm_serve.Policy.make
+        ?deadline:(if timeout = 0.0 then None else Some timeout)
+        ~max_retries:retries ~admission ()
   in
-  let run machine cores workload allocs arrival dispatch rps duration timeout
-      retries admission scale seed jobs cache refresh cache_dir fault_seed =
-    let machine_v =
-      match machine with
-      | "xeon" -> Some Mm_cachesim.Machine.xeon
-      | "niagara" -> Some Mm_cachesim.Machine.niagara
-      | _ -> None
+  let run (machine, cores) spec kinds arrival dispatch rps duration timeout
+      retries admission scale seed jobs store =
+    let policy = policy_of ~timeout ~retries ~admission in
+    let module Ctx = Mm_experiments.Context in
+    let module Lat = Mm_experiments.Exp_latency in
+    let module Sweep = Mm_serve.Sweep in
+    let ctx = ctx_of ~scale ~seed store in
+    let default_kind = Mm_runtime.Alloc_factory.Php_default in
+    (* The auto grid needs the default allocator's measurement even when
+       it is not swept; plan the union and prefetch on the pool. *)
+    let planned =
+      (if rps = None then [ default_kind ] else [])
+      @ kinds
+      |> List.map (fun kind ->
+             Ctx.php_key ctx ~machine ~cores ~kind ~spec ())
     in
-    match
-      ( machine_v,
-        Mm_workload.Spec.by_name workload,
-        parse_allocs allocs,
-        Mm_serve.Arrival.of_name arrival,
-        Mm_serve.Dispatch.of_name dispatch,
-        parse_rps rps,
-        check_jobs jobs )
-    with
-    | None, _, _, _, _, _, _ ->
-      `Error
-        (false, Printf.sprintf "unknown machine %S; valid: xeon, niagara" machine)
-    | _, None, _, _, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown workload %S; valid: %s" workload
-            (String.concat ", "
-               (List.map
-                  (fun s -> s.Mm_workload.Spec.name)
-                  (Mm_workload.Spec.php_apps @ [ Mm_workload.Spec.rails ]))) )
-    | _, _, Error msg, _, _, _, _ -> `Error (false, msg)
-    | _, _, _, None, _, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown arrival %S; valid: %s" arrival
-            (String.concat ", "
-               (List.map Mm_serve.Arrival.name Mm_serve.Arrival.all)) )
-    | _, _, _, _, None, _, _ ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown dispatch %S; valid: %s" dispatch
-            (String.concat ", "
-               (List.map Mm_serve.Dispatch.name Mm_serve.Dispatch.all)) )
-    | _, _, _, _, _, Error msg, _ -> `Error (false, msg)
-    | _, _, _, _, _, _, Error msg -> `Error (false, msg)
-    | Some machine, Some _, Ok _, Some _, Some _, Ok _, Ok _
-      when cores < 1 || cores > machine.Mm_cachesim.Machine.cores ->
-      `Error
-        ( false,
-          Printf.sprintf "--cores must be in 1..%d for %s (got %d)"
-            machine.Mm_cachesim.Machine.cores
-            machine.Mm_cachesim.Machine.name cores )
-    | _, _, _, _, _, _, Ok _ when not (duration > 0.0) ->
-      `Error (false, "--duration must be positive")
-    | Some machine, Some spec, Ok kinds, Some arrival, Some dispatch, Ok rps,
-      Ok jobs -> (
-      match
-        ( parse_policy ~timeout ~retries ~admission,
-          check_cache_flags ~cache ~refresh ~cache_dir )
-      with
-      | Error msg, _ | _, Error msg -> `Error (false, msg)
-      | Ok policy, Ok () ->
-      let module Ctx = Mm_experiments.Context in
-      let module Lat = Mm_experiments.Exp_latency in
-      let module Sweep = Mm_serve.Sweep in
-      apply_fault_seed fault_seed;
-      let ctx = ctx_of ~scale ~seed ~cache ~refresh ~cache_dir in
-      let default_kind = Mm_runtime.Alloc_factory.Php_default in
-      (* The auto grid needs the default allocator's measurement even when
-         it is not swept; plan the union and prefetch on the pool. *)
-      let planned =
-        (if rps = None then [ default_kind ] else [])
-        @ kinds
-        |> List.map (fun kind ->
-               Ctx.php_key ctx ~machine ~cores ~kind ~spec ())
-      in
-      Ctx.prefetch ctx ~jobs planned;
-      let rates =
-        match rps with
-        | Some rates -> rates
-        | None ->
-          let cap =
-            Lat.capacity_of ctx ~machine ~spec ~kind:default_kind ~cores
-          in
-          List.map (fun f -> f *. cap) auto_fractions
-      in
-      let max_rate = List.fold_left Float.max 0.0 rates in
-      let requests =
-        Stdlib.max 200
-          (Stdlib.min 50_000 (int_of_float (duration *. max_rate)))
-      in
-      let policy_active = not (Mm_serve.Policy.is_none policy) in
-      Printf.printf
-        "Serving %s on %d %s core(s): %s arrivals, %s dispatch, %d requests \
-         per point (seed %d, scale %.2f)\n"
-        workload cores machine.Mm_cachesim.Machine.name
-        (Mm_serve.Arrival.name arrival)
-        (Mm_serve.Dispatch.name dispatch)
-        requests seed scale;
-      if policy_active then
-        Printf.printf "Client policy: %s\n" (Mm_serve.Policy.describe policy);
-      print_newline ();
-      let summary =
-        Mm_stats.Table.create ~title:"Saturation summary"
-          ~columns:
-            ([
-               ("allocator", Mm_stats.Table.Left);
-               ("capacity RPS", Mm_stats.Table.Right);
-               ("max sustained RPS", Mm_stats.Table.Right);
-             ]
-            @
-            if policy_active then
-              [ ("collapse RPS", Mm_stats.Table.Right) ]
-            else [])
-      in
-      List.iter
-        (fun kind ->
-          let name = Mm_runtime.Alloc_factory.kind_name kind in
-          let points =
-            Lat.sweep_points ~policy ctx ~machine ~spec ~kind ~cores ~arrival
-              ~dispatch ~requests ~warmup_frac:0.1 ~rates
-          in
-          let t =
-            Mm_stats.Table.create
-              ~title:(Printf.sprintf "%s: latency vs offered load" name)
-              ~columns:
-                ([
-                   ("offered RPS", Mm_stats.Table.Right);
-                   ("p50", Mm_stats.Table.Right);
-                   ("p90", Mm_stats.Table.Right);
-                   ("p99", Mm_stats.Table.Right);
-                   ("p99.9", Mm_stats.Table.Right);
-                   ("util", Mm_stats.Table.Right);
-                 ]
-                @ (if policy_active then
-                     [
-                       ("goodput RPS", Mm_stats.Table.Right);
-                       ("shed", Mm_stats.Table.Right);
-                       ("timeout", Mm_stats.Table.Right);
-                       ("amp", Mm_stats.Table.Right);
-                     ]
-                   else [])
-                @ [ ("", Mm_stats.Table.Left) ])
-          in
-          let ms v = Printf.sprintf "%.2f ms" (1000.0 *. v) in
-          let pct v = Printf.sprintf "%.0f%%" (100.0 *. v) in
-          List.iter
-            (fun (p : Sweep.point) ->
-              Mm_stats.Table.add_row t
-                ([
-                   Printf.sprintf "%.0f" p.Sweep.rate;
-                   ms p.Sweep.p50;
-                   ms p.Sweep.p90;
-                   ms p.Sweep.p99;
-                   ms p.Sweep.p999;
-                   Printf.sprintf "%.2f" p.Sweep.utilization;
-                 ]
-                @ (if policy_active then
-                     [
-                       Printf.sprintf "%.0f" p.Sweep.goodput_rps;
-                       pct p.Sweep.shed_rate;
-                       pct p.Sweep.timeout_rate;
-                       Printf.sprintf "%.2f" p.Sweep.amplification;
-                     ]
-                   else [])
-                @ [
-                    (if policy_active && Sweep.collapsed p then "COLLAPSED"
-                     else if p.Sweep.saturated then "SATURATED"
-                     else "");
-                  ]))
-            points;
-          Mm_stats.Table.print t;
-          let cap = Lat.capacity_of ctx ~machine ~spec ~kind ~cores in
-          Mm_stats.Table.add_row summary
-            ([
-               name;
-               Printf.sprintf "%.0f" cap;
-               (match Sweep.max_sustainable points with
-               | Some r -> Printf.sprintf "%.0f" r
-               | None -> "none (all points saturated)");
-             ]
-            @
-            if policy_active then
-              [
-                (match Sweep.collapse_rate points with
-                | Some r -> Printf.sprintf "%.0f" r
-                | None -> "none in sweep");
-              ]
-            else []))
-        kinds;
-      Mm_stats.Table.print summary;
-      print_exec_summary ctx;
-      `Ok ())
+    Ctx.prefetch ctx ~jobs planned;
+    let rates =
+      match rps with
+      | Some rates -> rates
+      | None ->
+        let cap =
+          Lat.capacity_of ctx ~machine ~spec ~kind:default_kind ~cores
+        in
+        List.map (fun f -> f *. cap) auto_fractions
+    in
+    let max_rate = List.fold_left Float.max 0.0 rates in
+    let requests =
+      Stdlib.max 200
+        (Stdlib.min 50_000 (int_of_float (duration *. max_rate)))
+    in
+    let policy_active = not (Mm_serve.Policy.is_none policy) in
+    Printf.printf
+      "Serving %s on %d %s core(s): %s arrivals, %s dispatch, %d requests \
+       per point (seed %d, scale %.2f)\n"
+      spec.Spec.name cores machine.Machine.name
+      (Mm_serve.Arrival.name arrival)
+      (Mm_serve.Dispatch.name dispatch)
+      requests seed scale;
+    if policy_active then
+      Printf.printf "Client policy: %s\n" (Mm_serve.Policy.describe policy);
+    print_newline ();
+    let summary =
+      Mm_stats.Table.create ~title:"Saturation summary"
+        ~columns:
+          ([
+             ("allocator", Mm_stats.Table.Left);
+             ("capacity RPS", Mm_stats.Table.Right);
+             ("max sustained RPS", Mm_stats.Table.Right);
+           ]
+          @
+          if policy_active then
+            [ ("collapse RPS", Mm_stats.Table.Right) ]
+          else [])
+    in
+    List.iter
+      (fun kind ->
+        let name = Mm_runtime.Alloc_factory.kind_name kind in
+        let points =
+          Lat.sweep_points ~policy ctx ~machine ~spec ~kind ~cores ~arrival
+            ~dispatch ~requests ~warmup_frac:0.1 ~rates
+        in
+        let t =
+          Mm_stats.Table.create
+            ~title:(Printf.sprintf "%s: latency vs offered load" name)
+            ~columns:
+              ([
+                 ("offered RPS", Mm_stats.Table.Right);
+                 ("p50", Mm_stats.Table.Right);
+                 ("p90", Mm_stats.Table.Right);
+                 ("p99", Mm_stats.Table.Right);
+                 ("p99.9", Mm_stats.Table.Right);
+                 ("util", Mm_stats.Table.Right);
+               ]
+              @ (if policy_active then
+                   [
+                     ("goodput RPS", Mm_stats.Table.Right);
+                     ("shed", Mm_stats.Table.Right);
+                     ("timeout", Mm_stats.Table.Right);
+                     ("amp", Mm_stats.Table.Right);
+                   ]
+                 else [])
+              @ [ ("", Mm_stats.Table.Left) ])
+        in
+        let ms v = Printf.sprintf "%.2f ms" (1000.0 *. v) in
+        let pct v = Printf.sprintf "%.0f%%" (100.0 *. v) in
+        List.iter
+          (fun (p : Sweep.point) ->
+            Mm_stats.Table.add_row t
+              ([
+                 Printf.sprintf "%.0f" p.Sweep.rate;
+                 ms p.Sweep.p50;
+                 ms p.Sweep.p90;
+                 ms p.Sweep.p99;
+                 ms p.Sweep.p999;
+                 Printf.sprintf "%.2f" p.Sweep.utilization;
+               ]
+              @ (if policy_active then
+                   [
+                     Printf.sprintf "%.0f" p.Sweep.goodput_rps;
+                     pct p.Sweep.shed_rate;
+                     pct p.Sweep.timeout_rate;
+                     Printf.sprintf "%.2f" p.Sweep.amplification;
+                   ]
+                 else [])
+              @ [
+                  (if policy_active && Sweep.collapsed p then "COLLAPSED"
+                   else if p.Sweep.saturated then "SATURATED"
+                   else "");
+                ]))
+          points;
+        Mm_stats.Table.print t;
+        let cap = Lat.capacity_of ctx ~machine ~spec ~kind ~cores in
+        Mm_stats.Table.add_row summary
+          ([
+             name;
+             Printf.sprintf "%.0f" cap;
+             (match Sweep.max_sustainable points with
+             | Some r -> Printf.sprintf "%.0f" r
+             | None -> "none (all points saturated)");
+           ]
+          @
+          if policy_active then
+            [
+              (match Sweep.collapse_rate points with
+              | Some r -> Printf.sprintf "%.0f" r
+              | None -> "none in sweep");
+            ]
+          else []))
+      kinds;
+    Mm_stats.Table.print summary;
+    print_exec_summary ctx
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "serve"
@@ -600,214 +551,208 @@ let serve_cmd =
          "Sweep offered load on the discrete-event serving simulator: tail \
           latency and saturation per allocator.")
     Cmdliner.Term.(
-      ret
-        (const run $ machine_arg $ cores_arg $ workload_arg $ allocs_arg
-       $ arrival_arg $ dispatch_arg $ rps_arg $ duration_arg $ timeout_arg
-       $ retries_arg $ admission_arg $ scale_arg $ seed_arg $ jobs_arg
-       $ cache_arg $ refresh_arg $ cache_dir_arg $ fault_seed_arg))
+      const run
+      $ machine_cores_term
+          ~cores_doc:"Serving cores (1 to the machine's core count)."
+      $ workload_arg $ allocs_arg $ arrival_arg $ dispatch_arg $ rps_arg
+      $ duration_arg $ timeout_arg $ retries_arg $ admission_arg
+      $ transaction_scale_arg $ seed_arg $ jobs_arg $ store_term)
 
 (* --- the `mmstudy chaos` subcommand ---------------------------------- *)
 
-(* Fault-injection drill: run the pipeline fault-free for a reference,
-   then again under a seeded fault plan, and verify the resilience
-   invariant — faults move counters (retries, restarts, misses), never
-   result bytes.  Then hammer the store and the pool directly.  Any
-   violation exits non-zero, so check.sh can gate on this. *)
+(* Fault-injection drills: run the pipeline fault-free for a reference,
+   then under a seeded fault plan at two job counts, and verify that
+   faults move counters (retries, misses), never result bytes — and that
+   the fault pattern itself does not depend on the job count.  Then
+   hammer the store directly.  Any violation exits non-zero, so check.sh
+   can gate on this. *)
 let chaos_cmd =
   let chaos_fault_seed_arg =
     let doc = "Seed of the deterministic fault plan to drill with." in
     Cmdliner.Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
   let chaos_scale_arg =
-    let doc = "Transaction scale for the reference experiment pass." in
-    Cmdliner.Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"S" ~doc)
+    scale_arg ~default:0.02
+      ~doc:"Transaction scale for the reference experiment pass, in (0, 1]."
   in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f ->
-          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        try Unix.rmdir path with Unix.Unix_error _ -> ()
+      end
+      else try Sys.remove path with Sys_error _ -> ()
+  in
+  (* Sorted (entry file, contents) pairs of a store directory. *)
+  let store_files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".meas")
+    |> List.sort compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  let format_counts counts =
+    String.concat ", "
+      (List.map
+         (fun (site, n) -> Printf.sprintf "%s %d" (Fault.site_name site) n)
+         counts)
   in
   let run scale seed jobs fault_seed =
-    match check_jobs jobs with
-    | Error msg -> `Error (false, msg)
-    | Ok jobs ->
-      let module Ctx = Mm_experiments.Context in
-      let module Engine = Mm_runtime.Engine in
-      let violations = ref [] in
-      let violate fmt =
-        Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-      in
-      let tmp =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "mmstudy-chaos-%d" (Unix.getpid ()))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Fault.disable ();
-          rm_rf tmp)
-        (fun () ->
-          Printf.printf
-            "Chaos drill: fault seed %d, sim seed %d, scale %.2f, %d job(s)\n\n"
-            fault_seed seed scale jobs;
-          (* Drill 1: determinism under faults.  The fig1 plan, fault-free
-             and in-memory, is the reference; the same plan under the
-             fault plan, through a store that is catching injected I/O
-             errors and torn writes, must produce identical bytes. *)
-          Fault.disable ();
-          let clean_ctx = Mm_experiments.Context.create ~scale ~seed () in
-          let keys = Mm_experiments.Exp_throughput.plan_fig1 clean_ctx in
-          Ctx.prefetch clean_ctx ~jobs keys;
-          let reference =
-            List.map
-              (fun k -> Engine.measurement_to_string (Ctx.force clean_ctx k))
-              keys
-          in
-          Fault.configure ~seed:fault_seed ();
-          let store =
-            Store.open_ ~dir:tmp
-              ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
-          in
-          let faulty_ctx =
-            Mm_experiments.Context.create ~scale ~seed ~store ()
-          in
-          Ctx.prefetch faulty_ctx ~jobs keys;
-          let mismatches = ref 0 in
+    let module Ctx = Mm_experiments.Context in
+    let module Engine = Mm_runtime.Engine in
+    let violations = ref [] in
+    let violate fmt =
+      Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+    in
+    let tmp =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "mmstudy-chaos-%d" (Unix.getpid ()))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.disable ();
+        rm_rf tmp)
+      (fun () ->
+        Printf.printf
+          "Chaos drill: fault seed %d, sim seed %d, scale %.2f, %d job(s)\n\n"
+          fault_seed seed scale jobs;
+        (* Drill 1: determinism under faults.  The fig1 plan, fault-free
+           and in-memory, is the reference.  The same plan under the
+           fault plan, through a fresh store that is catching injected
+           I/O errors and torn writes, must produce identical bytes at
+           -j 1 and at -j 2 or more — and leave identical stores and fault
+           counts, because every decision is a function of its key.  The
+           plan is small, so every site fires at rate 0.5 here. *)
+        Fault.disable ();
+        let clean_ctx = Ctx.create ~scale ~seed () in
+        let keys = Mm_experiments.Exp_throughput.plan_fig1 clean_ctx in
+        Ctx.prefetch clean_ctx ~jobs keys;
+        let reference =
+          List.map
+            (fun k -> Engine.measurement_to_string (Ctx.force clean_ctx k))
+            keys
+        in
+        let mismatches = ref 0 in
+        let compare_to_reference ctx what =
           List.iter2
             (fun k expected ->
-              let got =
-                Engine.measurement_to_string (Ctx.force faulty_ctx k)
-              in
-              if got <> expected then begin
+              if Engine.measurement_to_string (Ctx.force ctx k) <> expected
+              then begin
                 incr mismatches;
-                violate "measurement %S differs under fault injection"
+                violate "%s of %S differs under fault injection" what
                   (Ctx.key_name k)
               end)
-            keys reference;
-          (* Second faulty pass through a fresh context: reads anything
-             the first pass managed to persist (including healed-over
-             torn entries) back out of the store. *)
-          let store2 =
-            Store.open_ ~dir:tmp
-              ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
+            keys reference
+        in
+        let faulted_pass jobs =
+          let dir = Filename.concat tmp (Printf.sprintf "j%d" jobs) in
+          let open_store () =
+            Store.open_ ~dir ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
           in
-          let reread_ctx =
-            Mm_experiments.Context.create ~scale ~seed ~store:store2 ()
+          Fault.configure ~seed:fault_seed
+            ~rates:(List.map (fun site -> (site, 0.5)) Fault.all_sites)
+            ();
+          let ctx = Ctx.create ~scale ~seed ~store:(open_store ()) () in
+          Ctx.prefetch ctx ~jobs keys;
+          compare_to_reference ctx
+            (Printf.sprintf "measurement at -j %d" jobs);
+          (* A fresh context reads back what the first one persisted,
+             torn entries included. *)
+          let reread = Ctx.create ~scale ~seed ~store:(open_store ()) () in
+          compare_to_reference reread
+            (Printf.sprintf "store round-trip at -j %d" jobs);
+          ( Ctx.store_errors ctx + Ctx.store_errors reread,
+            Fault.counts (),
+            store_files dir )
+        in
+        let wide = Stdlib.max 2 jobs in
+        let errors1, counts1, files1 = faulted_pass 1 in
+        let errors_w, counts_w, files_w = faulted_pass wide in
+        if counts1 <> counts_w then
+          violate "fault counts differ between -j 1 (%s) and -j %d (%s)"
+            (format_counts counts1) wide (format_counts counts_w);
+        if files1 <> files_w then
+          violate "store contents differ between -j 1 and -j %d" wide;
+        Printf.printf
+          "experiment pass:  %d configuration(s) at -j 1 and -j %d, %d byte \
+           mismatch(es)\n"
+          (List.length keys) wide !mismatches;
+        Printf.printf "                  faults at -j 1: %s\n"
+          (format_counts counts1);
+        Printf.printf "                  faults at -j %d: %s\n" wide
+          (format_counts counts_w);
+        Printf.printf
+          "                  store entries %d / %d (%s), store errors \
+           absorbed %d / %d\n"
+          (List.length files1) (List.length files_w)
+          (if files1 = files_w then "identical" else "DIFFERENT")
+          errors1 errors_w;
+        (* Drill 2: the store under sustained injected I/O errors and
+           torn writes.  Every read must return the stored bytes or
+           miss — wrong bytes are the one unforgivable outcome — and a
+           miss must heal by rewriting. *)
+        Fault.configure ~seed:fault_seed ();
+        let drill =
+          Store.open_ ~dir:(Filename.concat tmp "drill")
+            ~fingerprint:"chaos-drill" ()
+        in
+        let entries = 200 in
+        let payload i =
+          Printf.sprintf "payload-%d-%s" i (String.make (i mod 97) 'x')
+        in
+        let corrupt = ref 0 and misses = ref 0 and healed = ref 0 in
+        for i = 0 to entries - 1 do
+          let key = Printf.sprintf "chaos-%d" i in
+          let data = payload i in
+          (try Store.store drill ~key ~data () with _ -> ());
+          let rec check attempt =
+            match Store.find drill ~key with
+            | Some d when d = data -> if attempt > 0 then incr healed
+            | Some _ -> incr corrupt
+            | None ->
+              incr misses;
+              if attempt < 5 then begin
+                (try Store.store drill ~key ~data () with _ -> ());
+                check (attempt + 1)
+              end
+              else violate "store entry %s never healed" key
           in
-          List.iter2
-            (fun k expected ->
-              let got =
-                Engine.measurement_to_string (Ctx.force reread_ctx k)
-              in
-              if got <> expected then begin
-                incr mismatches;
-                violate "store round-trip of %S differs under fault injection"
-                  (Ctx.key_name k)
-              end)
-            keys reference;
+          check 0
+        done;
+        if !corrupt > 0 then violate "store served wrong bytes %d time(s)" !corrupt;
+        let h = Store.health drill in
+        let drill_counts = Fault.counts () in
+        Printf.printf
+          "store drill:      %d entry(ies), %d miss(es), %d healed, %d served \
+           corrupt\n"
+          entries !misses !healed !corrupt;
+        Printf.printf
+          "                  read retries %d, read failures %d, write retries \
+           %d, write failures %d\n"
+          h.Store.read_retries h.Store.read_failures h.Store.write_retries
+          h.Store.write_failures;
+        Printf.printf "                  faults: %s\n" (format_counts drill_counts);
+        let total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
+        if total counts1 + total drill_counts = 0 then
+          violate "fault plan injected nothing — the drills exercised no faults";
+        match !violations with
+        | [] ->
           Printf.printf
-            "experiment pass:  %d configuration(s), %d byte mismatch(es)\n"
-            (List.length keys) !mismatches;
-          Printf.printf
-            "                  store errors absorbed: %d (degraded: %b)\n"
-            (Ctx.store_errors faulty_ctx + Ctx.store_errors reread_ctx)
-            (Ctx.store_degraded faulty_ctx || Ctx.store_degraded reread_ctx);
-          (* Drill 2: the store under sustained injected I/O errors and
-             torn writes.  Every read must return the stored bytes or
-             miss — wrong bytes are the one unforgivable outcome — and a
-             miss must heal by rewriting. *)
-          let drill = Store.open_ ~dir:tmp ~fingerprint:"chaos-drill" () in
-          let entries = 200 in
-          let payload i =
-            Printf.sprintf "payload-%d-%s" i (String.make (i mod 97) 'x')
-          in
-          let corrupt = ref 0 and misses = ref 0 and healed = ref 0 in
-          for i = 0 to entries - 1 do
-            let key = Printf.sprintf "chaos-%d" i in
-            let data = payload i in
-            (try Store.store drill ~key ~data () with _ -> ());
-            let rec check attempt =
-              match Store.find drill ~key with
-              | Some d when d = data ->
-                if attempt > 0 then incr healed
-              | Some _ -> incr corrupt
-              | None ->
-                incr misses;
-                if attempt < 5 then begin
-                  (try Store.store drill ~key ~data () with _ -> ());
-                  check (attempt + 1)
-                end
-                else violate "store entry %s never healed" key
-            in
-            check 0
-          done;
-          if !corrupt > 0 then
-            violate "store served wrong bytes %d time(s)" !corrupt;
-          let h = Store.health drill in
-          Printf.printf
-            "store drill:      %d entry(ies), %d miss(es), %d healed, %d \
-             served corrupt\n"
-            entries !misses !healed !corrupt;
-          Printf.printf
-            "                  read retries %d, read failures %d, write \
-             retries %d, write failures %d\n"
-            h.Store.read_retries h.Store.read_failures h.Store.write_retries
-            h.Store.write_failures;
-          (* Drill 3: the pool under injected worker crashes.  Values and
-             submission order must survive; the supervisor's restart
-             count is the only visible trace. *)
-          let pool = Mm_sched.Pool.create ~jobs:(Stdlib.max 2 jobs) in
-          let tasks = 200 in
-          let promises =
-            List.init tasks (fun i ->
-                Mm_sched.Pool.submit pool (fun () -> (i, i * i)))
-          in
-          let wrong = ref 0 in
-          List.iteri
-            (fun i p ->
-              match Mm_sched.Pool.await p with
-              | j, sq when j = i && sq = i * i -> ()
-              | _ -> incr wrong
-              | exception _ -> incr wrong)
-            promises;
-          let restarts = Mm_sched.Pool.restarts pool in
-          Mm_sched.Pool.shutdown pool;
-          if !wrong > 0 then
-            violate "pool returned %d wrong or failed result(s)" !wrong;
-          Printf.printf
-            "pool drill:       %d task(s), %d wrong result(s), %d worker \
-             restart(s)\n"
-            tasks !wrong restarts;
-          let total = Fault.total_injected () in
-          Printf.printf "faults injected:  %d total (%s)\n" total
-            (String.concat ", "
-               (List.map
-                  (fun (site, n) ->
-                    Printf.sprintf "%s %d" (Fault.site_name site) n)
-                  (Fault.counts ())));
-          if total = 0 then
-            violate
-              "fault plan injected nothing — the drill exercised no faults";
-          match !violations with
-          | [] ->
-            Printf.printf "\nresilience invariant held: faults moved \
-                           counters, never bytes\n";
-            `Ok ()
-          | vs ->
-            `Error
-              ( false,
-                Printf.sprintf "chaos drill failed:\n  %s"
-                  (String.concat "\n  " (List.rev vs)) ))
+            "\nresilience invariant held: faults moved counters, never bytes\n";
+          `Ok ()
+        | vs ->
+          `Error
+            ( false,
+              Printf.sprintf "chaos drill failed:\n  %s"
+                (String.concat "\n  " (List.rev vs)) ))
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "chaos"
        ~doc:
          "Drill the fault-injection paths: prove results are byte-identical \
-          under injected I/O errors, torn writes and worker crashes.")
+          under injected I/O errors and torn writes, and that the fault \
+          pattern does not depend on the job count.")
     Cmdliner.Term.(
       ret
         (const run $ chaos_scale_arg $ seed_arg $ jobs_arg

@@ -145,14 +145,6 @@ let kind_key = function
       | Core.Ddmalloc.Addr_ordered -> "addr")
   | other -> Factory.kind_name other
 
-(* Graceful degradation: once the store has abandoned this many reads or
-   writes (each abandonment is a full retry-with-backoff cycle — see
-   Mm_store), it is treated as persistently unavailable and the context
-   runs in-memory for the rest of the process.  Results are identical
-   either way — the store only ever saves recomputation — so degrading
-   changes counters, never output bytes. *)
-let degrade_threshold = 8
-
 let store_errors t =
   match t.store with
   | None -> 0
@@ -160,14 +152,12 @@ let store_errors t =
     let h = Store.health s in
     h.Store.read_failures + h.Store.write_failures
 
-let store_degraded t = store_errors t >= degrade_threshold
-
 (* Disk layer: a validated read of one id's measurement, or None.  Any
    store or decode failure is a miss — the caller recomputes and the
    write-behind overwrites the bad entry. *)
 let read_store t id =
   match t.store with
-  | Some s when not t.refresh && not (store_degraded t) -> (
+  | Some s when not t.refresh -> (
     match Store.find s ~key:(store_key_of_id id) with
     | None -> None
     | Some payload -> (
@@ -179,14 +169,9 @@ let read_store t id =
 (* Write-behind is best-effort: a full disk or read-only store directory
    (or a persistently-injected write fault) must not fail the run that
    just produced a perfectly good result. *)
-let write_store t id m =
-  match t.store with
-  | Some s when not (store_degraded t) -> (
-    try
-      Store.store s ~key:(store_key_of_id id)
-        ~data:(Engine.measurement_to_string m) ()
-    with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ())
-  | Some _ | None -> ()
+let write_store s ?kind ~key data =
+  try Store.store s ?kind ~key ~data ()
+  with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ()
 
 (* Force a key: return the memoized measurement, computing it at most once
    per process.  Concurrent requests for the same id rendezvous on an
@@ -233,7 +218,12 @@ let force t key =
         | None -> (
           match (try `Done (key.compute ()) with e -> `Failed e) with
           | `Done m as done_ ->
-            write_store t id m;
+            (* Serialise only when there is a store to write to. *)
+            Option.iter
+              (fun s ->
+                write_store s ~key:(store_key_of_id id)
+                  (Engine.measurement_to_string m))
+              t.store;
             (done_, false)
           | `Failed _ as failed -> (failed, false))
       in
@@ -378,7 +368,7 @@ let force_blob t ~kind ~key ~valid ~compute =
     Mutex.unlock t.lock;
     let from_store =
       match t.store with
-      | Some s when not t.refresh && not (store_degraded t) -> (
+      | Some s when not t.refresh -> (
         match Store.find s ~key with
         | Some payload when valid payload -> Some payload
         | Some _ | None -> None)
@@ -389,11 +379,7 @@ let force_blob t ~kind ~key ~valid ~compute =
       | Some p -> (p, true)
       | None ->
         let p = compute () in
-        (match t.store with
-        | Some s when not (store_degraded t) -> (
-          try Store.store s ~kind ~key ~data:p ()
-          with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ())
-        | Some _ | None -> ());
+        Option.iter (fun s -> write_store s ~kind ~key p) t.store;
         (p, false)
     in
     Mutex.lock t.lock;

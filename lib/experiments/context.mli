@@ -118,13 +118,9 @@ val disk_hits : t -> int
 
 val store_errors : t -> int
 (** Reads and writes the attached store abandoned after exhausting its
-    bounded retries (see [Mm_store.Store.health]); 0 without a store. *)
-
-val store_degraded : t -> bool
-(** Whether the context has stopped using the store: after a bounded
-    number of abandoned operations the store is treated as persistently
-    unavailable and every later {!force} simulates in memory.  Results
-    are unaffected — degradation changes counters, never output bytes. *)
+    bounded retries (see [Mm_store.Store.health]); 0 without a store.
+    An abandoned read is a miss and an abandoned write is dropped, so
+    store errors change counters, never output bytes. *)
 
 (** {2 Derived-artifact blobs}
 

@@ -1,53 +1,37 @@
 module Rng = Mm_stats.Rng
 
-type site = Store_read | Store_write | Store_torn | Worker_crash
+type site = Store_read | Store_write | Store_torn
 
 exception Injected of site
 
-let all_sites = [ Store_read; Store_write; Store_torn; Worker_crash ]
+let all_sites = [ Store_read; Store_write; Store_torn ]
 
-let site_index = function
-  | Store_read -> 0
-  | Store_write -> 1
-  | Store_torn -> 2
-  | Worker_crash -> 3
-
-let n_sites = List.length all_sites
+let site_index = function Store_read -> 0 | Store_write -> 1 | Store_torn -> 2
 
 let site_name = function
   | Store_read -> "store-read"
   | Store_write -> "store-write"
   | Store_torn -> "store-torn"
-  | Worker_crash -> "worker-crash"
 
 let default_rate = function
   | Store_read -> 0.05
   | Store_write -> 0.05
   | Store_torn -> 0.03
-  | Worker_crash -> 0.03
 
+(* A decision depends only on the seed and how often its (site, key) pair
+   has been probed before, so the table of those counts is the plan's
+   only evolving state; [lock] guards it and the fire counters. *)
 type plan = {
   p_seed : int;
-  rngs : Rng.t array;
   rates : float array;
+  lock : Mutex.t;
+  probes : (site * string, int) Hashtbl.t;
   fired : int array;
 }
 
-(* One mutex guards the whole module: probes are rare (store I/O, task
-   pickup) and cheap, and the RNG streams are not thread-safe. *)
-let mutex = Mutex.create ()
-
-let state : plan option ref = ref None
-
-(* Distinguishes "environment not consulted yet" from "explicitly
-   disarmed": [disable] must win over a later lazy env check. *)
-let env_checked = ref false
-
 let make_plan ?(rates = []) ~seed () =
-  let root = Rng.create ~seed in
   {
     p_seed = seed;
-    rngs = Array.init n_sites (fun _ -> Rng.split root);
     rates =
       Array.of_list
         (List.map
@@ -56,62 +40,53 @@ let make_plan ?(rates = []) ~seed () =
              | Some r -> Float.max 0.0 (Float.min 1.0 r)
              | None -> default_rate s)
            all_sites);
-    fired = Array.make n_sites 0;
+    lock = Mutex.create ();
+    probes = Hashtbl.create 64;
+    fired = Array.make (List.length all_sites) 0;
   }
 
-let current_locked () =
-  if not !env_checked then begin
-    env_checked := true;
-    match Sys.getenv_opt "MM_FAULT_SEED" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some seed -> state := Some (make_plan ~seed ())
-      | None -> ())
-    | None -> ()
-  end;
-  !state
+(* Armed from the environment at module initialisation, before any
+   domain can probe, so a disarmed probe is one atomic read. *)
+let plan =
+  Atomic.make
+    (match Sys.getenv_opt "MM_FAULT_SEED" with
+    | None -> None
+    | Some s ->
+      Option.map
+        (fun seed -> make_plan ~seed ())
+        (int_of_string_opt (String.trim s)))
 
-let with_lock f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+let configure ?rates ~seed () = Atomic.set plan (Some (make_plan ?rates ~seed ()))
 
-let configure ?rates ~seed () =
-  with_lock (fun () ->
-      env_checked := true;
-      state := Some (make_plan ?rates ~seed ()))
+let disable () = Atomic.set plan None
 
-let disable () =
-  with_lock (fun () ->
-      env_checked := true;
-      state := None)
+let enabled () = Option.is_some (Atomic.get plan)
 
-let enabled () = with_lock (fun () -> current_locked () <> None)
+let seed () = Option.map (fun p -> p.p_seed) (Atomic.get plan)
 
-let seed () =
-  with_lock (fun () ->
-      match current_locked () with Some p -> Some p.p_seed | None -> None)
-
-let fire site =
-  with_lock (fun () ->
-      match current_locked () with
-      | None -> false
-      | Some p ->
-        let i = site_index site in
-        let hit = Rng.float p.rngs.(i) < p.rates.(i) in
-        if hit then p.fired.(i) <- p.fired.(i) + 1;
-        hit)
-
-let fraction site =
-  with_lock (fun () ->
-      match current_locked () with
-      | None -> 0.5
-      | Some p -> Rng.float p.rngs.(site_index site))
+let probe site ~key =
+  match Atomic.get plan with
+  | None -> None
+  | Some p ->
+    let i = site_index site in
+    Mutex.lock p.lock;
+    let n = Option.value (Hashtbl.find_opt p.probes (site, key)) ~default:0 in
+    Hashtbl.replace p.probes (site, key) (n + 1);
+    let u = Rng.float (Rng.create ~seed:(Hashtbl.hash (p.p_seed, site, key, n))) in
+    let hit = u < p.rates.(i) in
+    if hit then p.fired.(i) <- p.fired.(i) + 1;
+    Mutex.unlock p.lock;
+    (* Given a hit, u / rate is again uniform on [0, 1). *)
+    if hit then Some (u /. p.rates.(i)) else None
 
 let injected site =
-  with_lock (fun () ->
-      match current_locked () with
-      | None -> 0
-      | Some p -> p.fired.(site_index site))
+  match Atomic.get plan with
+  | None -> 0
+  | Some p ->
+    Mutex.lock p.lock;
+    let n = p.fired.(site_index site) in
+    Mutex.unlock p.lock;
+    n
 
 let counts () = List.map (fun s -> (s, injected s)) all_sites
 

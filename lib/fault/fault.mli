@@ -1,22 +1,21 @@
 (** Deterministic, process-global fault injection.
 
-    The injector drives every simulated failure in the stack — store I/O
-    errors, torn writes, scheduler worker crashes — from one seeded plan so
-    a failing run can be replayed exactly.  It is disabled by default and
-    costs one mutex-guarded branch per probe site when enabled.
+    The injector drives every simulated infrastructure failure in the
+    stack — store read and write errors, torn writes — from one seeded
+    plan so a failing run can be replayed exactly.  It is disabled by
+    default; a probe then costs one atomic read.
 
     Enable it either from the environment ([MM_FAULT_SEED=<int>], read
-    lazily on the first probe) or programmatically with {!configure}
-    (tests, the [mmstudy chaos] drill).
+    once at program start) or programmatically with {!configure} (tests,
+    the [mmstudy chaos] drill).
 
-    Each {!site} owns an independent split RNG stream, so firing one site
-    never perturbs another site's decision sequence.  Within a single
-    thread the decision sequence per site is a pure function of the seed
-    and its rate; across domains the interleaving (and therefore which
-    particular operation absorbs a fault) is scheduling-dependent — the
-    invariant the rest of the stack enforces is that retries and
-    self-healing make *outputs* fault-independent, not that the fault
-    pattern itself is stable.
+    Every decision is a pure function: the [n]-th probe of a (site, key)
+    pair since {!configure} fires iff [u < rate], where [u] is a uniform
+    draw seeded by a hash of (seed, site, key, n).  The fault pattern
+    therefore depends only on the seed and on the order of probes {e per
+    key} — never on which domain reaches a site first — and a retry or a
+    rewrite of the same key draws afresh.  Counting restarts at 0 in each
+    process, so one seed faults the same keys in every process.
 
     The contract for every injection point: a fault plan may change
     counters, timings, and logs — never experiment output bytes. *)
@@ -25,11 +24,9 @@ type site =
   | Store_read  (** I/O error while reading a store entry *)
   | Store_write  (** I/O error while writing a store entry *)
   | Store_torn  (** store write published truncated (torn write) *)
-  | Worker_crash  (** scheduler worker dies at task pickup *)
 
 exception Injected of site
-(** Raised by injection points to simulate the failure; carries the site so
-    supervisors can distinguish injected crashes from real task errors. *)
+(** Raised by injection points to simulate the failure. *)
 
 val all_sites : site list
 
@@ -40,30 +37,25 @@ val default_rate : site -> float
 (** Per-probe firing probability used when no explicit rate is given. *)
 
 val configure : ?rates:(site * float) list -> seed:int -> unit -> unit
-(** [configure ~seed ()] (re)arms the injector with fresh per-site streams
-    derived from [seed] and resets all counters.  [rates] overrides the
-    default per-site probabilities (entries not listed keep their
+(** [configure ~seed ()] (re)arms the injector with [seed], forgetting
+    every earlier probe and resetting all counters.  [rates] overrides
+    the default per-site probabilities (entries not listed keep their
     default).  Takes precedence over [MM_FAULT_SEED]. *)
 
 val disable : unit -> unit
-(** Disarm the injector and reset counters.  Also suppresses any later
-    lazy [MM_FAULT_SEED] arming in this process. *)
+(** Disarm the injector and reset counters. *)
 
 val enabled : unit -> bool
-(** Whether a fault plan is armed (arming lazily from the environment if
-    that has not been checked yet). *)
+(** Whether a fault plan is armed. *)
 
 val seed : unit -> int option
 (** The armed plan's seed, if any. *)
 
-val fire : site -> bool
-(** [fire site] asks the plan whether this probe should fail, advancing
-    [site]'s stream and counting the injection when it fires.  Always
-    [false] when disabled. *)
-
-val fraction : site -> float
-(** A uniform draw in [0, 1) from [site]'s stream (e.g. where to truncate
-    a torn write).  [0.5] when disabled. *)
+val probe : site -> key:string -> float option
+(** [probe site ~key] decides whether this probe of [key] at [site]
+    fails, counting the injection when it does.  A fault comes with a
+    uniform draw in [0, 1) taken from the same decision (e.g. where to
+    truncate a torn write).  Always [None] when disabled. *)
 
 val injected : site -> int
 (** How many times [site] has fired since the plan was (re)armed. *)

@@ -1,15 +1,6 @@
 (* Fixed-size domain pool: a mutex/condition work queue drained by worker
    domains.  Results come back through per-task promises, so callers get
-   submission-order collection for free by awaiting in submission order.
-
-   Workers are supervised against injected crashes (Mm_fault.Fault,
-   Worker_crash site): a crash kills the worker domain at task pickup,
-   the task is re-enqueued up to a bound, and a replacement domain is
-   spawned so the pool never shrinks.  Real task exceptions are never
-   retried — they resolve the task's promise immediately, exactly as
-   without injection, so the exception barrier is preserved. *)
-
-module Fault = Mm_fault.Fault
+   submission-order collection for free by awaiting in submission order. *)
 
 type 'a state =
   | Pending
@@ -29,37 +20,12 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable closing : bool;
   mutable workers : unit Domain.t list;
-  mutable restarts : int;
 }
-
-(* Attempts per task under crash injection: the original run plus three
-   retries.  A task that crashes every time fails its promise with the
-   injected exception, which then surfaces at the barrier like any other
-   task failure. *)
-let max_crash_retries = 3
-
-(* Internal: unwinds a worker domain after an injected crash.  Never
-   escapes this module — the supervisor catches it at the loop head. *)
-exception Crashed
 
 let jobs t = t.n_jobs
 
-let restarts t =
-  Mutex.lock t.mutex;
-  let r = t.restarts in
-  Mutex.unlock t.mutex;
-  r
-
-(* Re-enqueue from inside a worker (crash retry): the queue stays open
-   for already-accepted work even while closing, because workers only
-   exit once the queue is drained. *)
-let requeue t task =
-  Mutex.lock t.mutex;
-  Queue.add task t.queue;
-  Condition.signal t.work_available;
-  Mutex.unlock t.mutex
-
-let rec worker_loop t =
+(* Tasks never raise: [submit] wraps each one to resolve its promise. *)
+let worker_loop t =
   let rec loop () =
     Mutex.lock t.mutex;
     while Queue.is_empty t.queue && not t.closing do
@@ -68,17 +34,8 @@ let rec worker_loop t =
     match Queue.take_opt t.queue with
     | Some task ->
       Mutex.unlock t.mutex;
-      (match task () with
-       | () -> loop ()
-       | exception Crashed ->
-         (* Supervised restart: this domain dies with the crash; spawn a
-            replacement so capacity (and shutdown's join set) stay
-            intact.  The crashed task was already re-enqueued or failed
-            by the task closure itself. *)
-         Mutex.lock t.mutex;
-         t.restarts <- t.restarts + 1;
-         t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers;
-         Mutex.unlock t.mutex)
+      task ();
+      loop ()
     | None ->
       (* closing and drained *)
       Mutex.unlock t.mutex
@@ -95,7 +52,6 @@ let create ~jobs =
       queue = Queue.create ();
       closing = false;
       workers = [];
-      restarts = 0;
     }
   in
   t.workers <- List.init n_jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
@@ -109,16 +65,7 @@ let resolve p state =
 
 let submit t f =
   let p = { p_mutex = Mutex.create (); p_cond = Condition.create (); p_state = Pending } in
-  let rec task attempts_left () =
-    if Fault.fire Fault.Worker_crash then begin
-      (* The worker is about to die; keep the task alive (bounded) or
-         fail its promise so the barrier still sees a result. *)
-      if attempts_left > 1 then requeue t (task (attempts_left - 1))
-      else
-        (try raise (Fault.Injected Fault.Worker_crash)
-         with e -> resolve p (Failed (e, Printexc.get_raw_backtrace ())));
-      raise Crashed
-    end;
+  let task () =
     match f () with
     | v -> resolve p (Resolved v)
     | exception e -> resolve p (Failed (e, Printexc.get_raw_backtrace ()))
@@ -128,42 +75,19 @@ let submit t f =
     Mutex.unlock t.mutex;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  Queue.add (task (1 + max_crash_retries)) t.queue;
+  Queue.add task t.queue;
   Condition.signal t.work_available;
   Mutex.unlock t.mutex;
   p
-
-let await p =
-  Mutex.lock p.p_mutex;
-  while p.p_state = Pending do
-    Condition.wait p.p_cond p.p_mutex
-  done;
-  let state = p.p_state in
-  Mutex.unlock p.p_mutex;
-  match state with
-  | Resolved v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
 
 let shutdown t =
   Mutex.lock t.mutex;
   t.closing <- true;
   Condition.broadcast t.work_available;
+  let workers = t.workers in
+  t.workers <- [];
   Mutex.unlock t.mutex;
-  (* Crashing workers may spawn replacements while we join, so drain the
-     worker list until it stays empty. *)
-  let rec drain () =
-    Mutex.lock t.mutex;
-    let workers = t.workers in
-    t.workers <- [];
-    Mutex.unlock t.mutex;
-    match workers with
-    | [] -> ()
-    | _ ->
-      List.iter Domain.join workers;
-      drain ()
-  in
-  drain ()
+  List.iter Domain.join workers
 
 (* Await as results so one failure cannot skip the barrier: every task is
    awaited (hence finished) before any exception is re-raised. *)
@@ -179,14 +103,17 @@ let await_result p =
   | Failed (e, bt) -> Error (e, bt)
   | Pending -> assert false
 
+let get = function
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let await p = get (await_result p)
+
 let sequential_map f xs =
   (* Same barrier semantics as the pooled path: finish every task, then
-     re-raise the earliest failure.  No crash injection here — there is
-     no worker to crash; [jobs = 1] is the supervisor-free baseline. *)
-  let results = List.map (fun x -> try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())) xs in
-  List.map
-    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    results
+     re-raise the earliest failure. *)
+  List.map (fun x -> try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())) xs
+  |> List.map get
 
 let map ~jobs f xs =
   let n = List.length xs in
@@ -197,9 +124,7 @@ let map ~jobs f xs =
     let promises = List.map (fun x -> submit pool (fun () -> f x)) xs in
     let results = List.map await_result promises in
     shutdown pool;
-    List.map
-      (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      results
+    List.map get results
   end
 
 let run ~jobs thunks = map ~jobs (fun f -> f ()) thunks

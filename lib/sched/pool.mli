@@ -12,15 +12,7 @@
       completion (or failure) before the exception of the {e earliest
       submitted} failing task is re-raised with its backtrace;
     - [jobs = 1] degenerates to sequential in-domain execution with the
-      same semantics, so callers need no special case.
-
-    {b Supervision.}  When fault injection is armed ([Mm_fault.Fault],
-    [MM_FAULT_SEED]), a worker may crash at task pickup: the domain dies,
-    a replacement is spawned (counted by {!restarts}), and the task is
-    re-enqueued — up to 3 retries.  A task that crashes on every attempt
-    fails its promise with [Fault.Injected Worker_crash], surfacing at
-    the barrier like any other task failure.  Real task exceptions are
-    never retried, and both guarantees above hold under any fault plan. *)
+      same semantics, so callers need no special case. *)
 
 type t
 (** A running pool of worker domains. *)
@@ -31,10 +23,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 (** Number of worker domains. *)
-
-val restarts : t -> int
-(** How many crashed workers this pool has replaced (0 without fault
-    injection). *)
 
 type 'a promise
 (** The eventual result of a submitted task. *)

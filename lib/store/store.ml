@@ -156,7 +156,8 @@ let read_entry ic t ~key =
 let find t ~key =
   let path = entry_path t ~key in
   let read_once () =
-    if Fault.fire Fault.Store_read then raise (Fault.Injected Fault.Store_read);
+    if Fault.probe Fault.Store_read ~key <> None then
+      raise (Fault.Injected Fault.Store_read);
     match open_in_bin path with
     | exception Sys_error _ ->
       (* Entry absent: a plain miss, not a fault — no retry. *)
@@ -196,17 +197,17 @@ let store t ?(kind = default_kind) ~key ~data () =
       (String.length data) data
   in
   let write_once () =
-    if Fault.fire Fault.Store_write then
+    if Fault.probe Fault.Store_write ~key <> None then
       raise (Fault.Injected Fault.Store_write);
     (* A torn write publishes a truncated image — the acknowledged-but-
        partial outcome fsync+rename prevents for real crashes.  Readers
        must treat every prefix as a miss; the next write self-heals. *)
     let payload =
-      if Fault.fire Fault.Store_torn then
+      match Fault.probe Fault.Store_torn ~key with
+      | Some cut ->
         String.sub image 0
-          (int_of_float (Fault.fraction Fault.Store_torn
-                         *. float_of_int (String.length image)))
-      else image
+          (int_of_float (cut *. float_of_int (String.length image)))
+      | None -> image
     in
     let tmp = Filename.temp_file ~temp_dir:t.dir "tmp-" ".part" in
     let oc = open_out_bin tmp in

@@ -33,8 +33,7 @@
     and the next write heals the entry on disk); a write that stays
     broken raises.  Injected torn writes publish truncated entries on
     purpose, exercising the read-as-miss self-healing path.  {!health}
-    reports the retry/failure tallies so callers can detect a
-    persistently unavailable store and degrade.
+    reports the retry/failure tallies.
 
     {b Invalidation.}  The fingerprint participates in the digest, so
     bumping [Version.sim_fingerprint] orphans every existing entry
@@ -72,9 +71,7 @@ type health = {
 
 val health : t -> health
 (** Snapshot of this handle's fault tallies since {!open_}.  All zero on
-    a healthy store; a growing failure count signals the store is
-    persistently unavailable and the caller should degrade to in-memory
-    operation. *)
+    a healthy store. *)
 
 val find : t -> key:string -> string option
 (** The stored payload for [key], or [None] on miss {e or} on any

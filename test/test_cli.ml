@@ -34,8 +34,8 @@ let expect_error args needles () =
   let code, out = run_mmstudy args in
   if code = 0 then
     Alcotest.failf "`mmstudy %s' exited 0; output:\n%s" args out;
-  if contains out "backtrace" then
-    Alcotest.failf "`mmstudy %s' printed a backtrace:\n%s" args out;
+  if contains out "backtrace" || contains out "internal error" then
+    Alcotest.failf "`mmstudy %s' failed internally:\n%s" args out;
   List.iter
     (fun needle ->
       if not (contains out needle) then
@@ -70,6 +70,7 @@ let () =
             "run fig1 --no-cache --cache-dir /tmp/x"
             [ "--no-cache"; "--cache-dir" ];
           err "bad jobs" "run fig1 --no-cache -j 0" [ "--jobs" ];
+          err "bad scale" "run fig1 --scale 0 --no-cache" [ "--scale" ];
         ] );
       ( "sim",
         [
@@ -79,6 +80,9 @@ let () =
             [ "unknown allocator"; "ddmalloc"; "region" ];
           err "unknown workload" "sim --workload bogus --no-cache"
             [ "unknown workload"; "mediawiki-ro" ];
+          err "bad cores" "sim --machine niagara --cores 99 --no-cache"
+            [ "--cores"; "niagara" ];
+          err "bad scale" "sim --scale 1.5 --no-cache" [ "--scale" ];
         ] );
       ( "serve",
         [
@@ -97,6 +101,7 @@ let () =
           err "bad rps" "serve --rps 10,zap --no-cache" [ "--rps" ];
           err "bad duration" "serve --duration 0 --no-cache" [ "--duration" ];
         ] );
+      ( "chaos", [ err "bad scale" "chaos --scale 0" [ "--scale" ] ] );
       ( "cache",
         [ err "gc needs max-mb" "cache gc" [ "--max-mb" ] ] );
       ( "ok paths",

@@ -1,8 +1,10 @@
-(* The deterministic fault injector: plan determinism per seed, rate
-   obedience at the extremes and in the middle, per-site counters, and
-   clean disable/reconfigure semantics. *)
+(* The deterministic fault injector: plan determinism per seed, decisions
+   independent of probe order across keys and domains, rate obedience at
+   the extremes and in the middle, per-site counters, and clean
+   disable/reconfigure semantics. *)
 
 module Fault = Mm_fault.Fault
+module Pool = Mm_sched.Pool
 
 (* Every test reconfigures the process-global plan, so each restores the
    ambient one (the MM_FAULT_SEED the suite was launched with, or none)
@@ -22,7 +24,7 @@ let with_fault_plan ?rates ~seed f =
 
 let test_site_names_distinct () =
   let names = List.map Fault.site_name Fault.all_sites in
-  Alcotest.(check int) "four sites" 4 (List.length names);
+  Alcotest.(check int) "three sites" 3 (List.length names);
   Alcotest.(check int) "names distinct"
     (List.length names)
     (List.length (List.sort_uniq compare names));
@@ -45,8 +47,8 @@ let test_disabled_never_fires () =
       Alcotest.(check (option int)) "no seed" None (Fault.seed ());
       List.iter
         (fun site ->
-          for _ = 1 to 1000 do
-            if Fault.fire site then
+          for i = 1 to 1000 do
+            if Fault.probe site ~key:(string_of_int (i mod 7)) <> None then
               Alcotest.failf "%s fired while disabled" (Fault.site_name site)
           done)
         Fault.all_sites;
@@ -57,8 +59,9 @@ let test_configure_enables_and_seeds () =
       Alcotest.(check bool) "enabled" true (Fault.enabled ());
       Alcotest.(check (option int)) "seed readable" (Some 123) (Fault.seed ()))
 
+(* One probe of each of [n] distinct keys. *)
 let pattern site n =
-  List.init n (fun _ -> Fault.fire site)
+  List.init n (fun i -> Fault.probe site ~key:(Printf.sprintf "k%d" i) <> None)
 
 let test_plan_deterministic_per_seed () =
   let take seed =
@@ -71,21 +74,55 @@ let test_plan_deterministic_per_seed () =
   let c = take 6 in
   Alcotest.(check bool) "different seed, different plan" true (a <> c)
 
-let test_sites_draw_independent_streams () =
-  (* Firing one site must not perturb another's stream: site A's pattern
-     is the same whether or not site B was drawn in between. *)
-  let solo =
-    with_fault_plan ~seed:7 (fun () -> pattern Fault.Store_read 500)
+let test_decisions_order_independent () =
+  (* A key's decisions depend on the seed and on how often that key was
+     probed before — not on the order keys are visited in, nor on which
+     domain probes them. *)
+  let n = 500 and seed = 7 in
+  let rates = List.map (fun site -> (site, 0.5)) Fault.all_sites in
+  let decide i =
+    let key = Printf.sprintf "k%d" i in
+    List.concat_map
+      (fun site -> List.init 2 (fun _ -> Fault.probe site ~key))
+      Fault.all_sites
   in
-  let interleaved =
-    with_fault_plan ~seed:7 (fun () ->
-        List.init 500 (fun _ ->
-            ignore (Fault.fire Fault.Worker_crash : bool);
-            let v = Fault.fire Fault.Store_read in
-            ignore (Fault.fire Fault.Store_torn : bool);
-            v))
+  let forward =
+    with_fault_plan ~rates ~seed (fun () -> Array.init n decide)
   in
-  Alcotest.(check bool) "independent streams" true (solo = interleaved)
+  let reverse =
+    with_fault_plan ~rates ~seed (fun () ->
+        let a = Array.make n [] in
+        for i = n - 1 downto 0 do
+          a.(i) <- decide i
+        done;
+        a)
+  in
+  let pooled =
+    with_fault_plan ~rates ~seed (fun () ->
+        Array.of_list
+          (Pool.run ~jobs:4 (List.init n (fun i () -> decide i))))
+  in
+  for i = 0 to n - 1 do
+    if forward.(i) <> reverse.(i) then
+      Alcotest.failf "k%d: decisions depend on key order" i;
+    if forward.(i) <> pooled.(i) then
+      Alcotest.failf "k%d: decisions depend on the probing domain" i
+  done;
+  let fired = Array.to_list forward |> List.concat |> List.filter Option.is_some in
+  Alcotest.(check bool) "some probes fired, some did not" true
+    (fired <> [] && List.length fired < n * 2 * List.length Fault.all_sites);
+  (* Repeated probes of one key draw afresh, so a retry can succeed. *)
+  let repeated =
+    with_fault_plan ~rates ~seed (fun () ->
+        List.init 64 (fun _ -> Fault.probe Fault.Store_read ~key:"k0" <> None))
+  in
+  Alcotest.(check bool) "repeated probes of one key disagree" true
+    (List.mem true repeated && List.mem false repeated);
+  List.iter
+    (fun cut ->
+      if cut < 0.0 || cut >= 1.0 then
+        Alcotest.failf "draw %g outside [0, 1)" cut)
+    (List.filter_map Fun.id fired)
 
 let test_rates_obeyed () =
   let rates r =
@@ -161,8 +198,8 @@ let () =
             test_configure_enables_and_seeds;
           Alcotest.test_case "plan deterministic per seed" `Quick
             test_plan_deterministic_per_seed;
-          Alcotest.test_case "sites draw independent streams" `Quick
-            test_sites_draw_independent_streams;
+          Alcotest.test_case "decisions are order-independent" `Quick
+            test_decisions_order_independent;
           Alcotest.test_case "rates obeyed" `Quick test_rates_obeyed;
           Alcotest.test_case "counters track fires" `Quick
             test_counters_track_fires;

@@ -4,39 +4,12 @@
    configuration must be simulated at most once per process. *)
 
 module Pool = Mm_sched.Pool
-module Fault = Mm_fault.Fault
 module Ctx = Mm_experiments.Context
 module Registry = Mm_experiments.Registry
 module Factory = Mm_runtime.Alloc_factory
 module Machine = Mm_cachesim.Machine
 module Engine = Mm_runtime.Engine
 module Spec = Mm_workload.Spec
-
-(* Count-exact assertions that injected faults would legitimately skew
-   are guarded on [strict]: they only run when the ambient environment
-   (MM_FAULT_SEED) has not armed the injector.  Value and ordering
-   assertions always run — faults must never change those. *)
-let strict () = not (Fault.enabled ())
-
-(* Tests that arm their own plan restore the ambient one on the way out,
-   so the rest of the suite sees the MM_FAULT_SEED it was launched with. *)
-let with_fault_plan ?rates ~seed f =
-  Fun.protect
-    ~finally:(fun () ->
-      match Sys.getenv_opt "MM_FAULT_SEED" with
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some env_seed -> Fault.configure ~seed:env_seed ()
-        | None -> Fault.disable ())
-      | None -> Fault.disable ())
-    (fun () ->
-      Fault.configure ?rates ~seed ();
-      f ())
-
-let crash_only rate =
-  List.map
-    (fun site -> (site, if site = Fault.Worker_crash then rate else 0.0))
-    Fault.all_sites
 
 (* --- Pool --- *)
 
@@ -65,14 +38,11 @@ let test_map_runs_on_worker_domains () =
        (List.length distinct))
     true
     (List.length distinct >= 1);
-  (* Supervised restarts legitimately add replacement domains, so the
-     upper bound only holds without injection. *)
-  if strict () then
-    Alcotest.(check bool)
-      (Printf.sprintf "at most 4 worker domains (got %d)"
-         (List.length distinct))
-      true
-      (List.length distinct <= 4)
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 4 worker domains (got %d)"
+       (List.length distinct))
+    true
+    (List.length distinct <= 4)
 
 let test_two_tasks_run_concurrently () =
   (* Each task waits until both have started; this only terminates if the
@@ -147,88 +117,6 @@ let test_default_jobs_sane () =
   Alcotest.(check bool)
     (Printf.sprintf "1 <= %d <= 16" j)
     true (j >= 1 && j <= 16)
-
-(* --- Supervision under injected worker crashes --- *)
-
-let test_persistent_crash_bounded_and_surfaces () =
-  (* A task that crashes on every attempt must burn exactly the original
-     run plus three retries, never execute its body, and surface the
-     injected exception at the await barrier. *)
-  with_fault_plan ~seed:31 ~rates:(crash_only 1.0) (fun () ->
-      let pool = Pool.create ~jobs:2 in
-      let ran = ref false in
-      let p =
-        Pool.submit pool (fun () ->
-            ran := true;
-            0)
-      in
-      Alcotest.check_raises "injected crash surfaces at await"
-        (Fault.Injected Fault.Worker_crash) (fun () ->
-          ignore (Pool.await p : int));
-      Alcotest.(check bool) "task body never ran" false !ran;
-      Pool.shutdown pool;
-      Alcotest.(check int) "crashed exactly 1 + 3 retries" 4
-        (Pool.restarts pool);
-      Alcotest.(check int) "every crash was an injection" 4
-        (Fault.injected Fault.Worker_crash);
-      (* The map barrier behaves the same: all tasks fail, the earliest
-         submitted failure is re-raised. *)
-      Alcotest.check_raises "map barrier re-raises the injected crash"
-        (Fault.Injected Fault.Worker_crash) (fun () ->
-          ignore (Pool.map ~jobs:2 Fun.id [ 1; 2; 3 ] : int list)))
-
-let test_supervised_pool_keeps_order_under_crashes () =
-  (* Moderate crash rate: most tasks survive via retry, every promise
-     resolves, values come back faithful and in submission order, and the
-     pool replaces exactly one worker per injected crash. *)
-  with_fault_plan ~seed:8 ~rates:(crash_only 0.25) (fun () ->
-      let n = 200 in
-      let pool = Pool.create ~jobs:3 in
-      let ps =
-        List.init n (fun i -> (i, Pool.submit pool (fun () -> i * i)))
-      in
-      let ok = ref 0 and crashed = ref 0 in
-      List.iter
-        (fun (i, p) ->
-          match Pool.await p with
-          | v ->
-            if v <> i * i then
-              Alcotest.failf "task %d returned %d, wanted %d" i v (i * i);
-            incr ok
-          | exception Fault.Injected Fault.Worker_crash -> incr crashed)
-        ps;
-      Alcotest.(check int) "every task resolved" n (!ok + !crashed);
-      Alcotest.(check bool)
-        (Printf.sprintf "most tasks survived retries (%d/%d)" !ok n)
-        true
-        (!ok > n * 9 / 10);
-      Pool.shutdown pool;
-      Alcotest.(check bool) "workers crashed and were replaced" true
-        (Pool.restarts pool > 0);
-      Alcotest.(check int) "one restart per injected crash"
-        (Fault.injected Fault.Worker_crash)
-        (Pool.restarts pool))
-
-let test_real_exceptions_not_retried () =
-  (* With the injector armed but the crash site quiet, a genuinely
-     raising task must fail once — the supervisor retries crashes, never
-     application exceptions. *)
-  with_fault_plan ~seed:4 ~rates:(crash_only 0.0) (fun () ->
-      let attempts = ref 0 in
-      let m = Mutex.create () in
-      let pool = Pool.create ~jobs:2 in
-      let p =
-        Pool.submit pool (fun () ->
-            Mutex.lock m;
-            incr attempts;
-            Mutex.unlock m;
-            failwith "app error")
-      in
-      Alcotest.check_raises "application exception propagates"
-        (Failure "app error") (fun () -> ignore (Pool.await p : unit));
-      Pool.shutdown pool;
-      Alcotest.(check int) "ran exactly once" 1 !attempts;
-      Alcotest.(check int) "no restarts" 0 (Pool.restarts pool))
 
 (* --- Context execute stage --- *)
 
@@ -351,15 +239,6 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
           Alcotest.test_case "default jobs sane" `Quick test_default_jobs_sane;
-        ] );
-      ( "supervision",
-        [
-          Alcotest.test_case "persistent crash bounded, surfaces at barrier"
-            `Quick test_persistent_crash_bounded_and_surfaces;
-          Alcotest.test_case "order and values kept under crashes" `Quick
-            test_supervised_pool_keeps_order_under_crashes;
-          Alcotest.test_case "real exceptions not retried" `Quick
-            test_real_exceptions_not_retried;
         ] );
       ( "context-execute",
         [

@@ -296,7 +296,6 @@ let test_store_survives_injection () =
         (Fault.Store_read, 0.3);
         (Fault.Store_write, 0.3);
         (Fault.Store_torn, 0.25);
-        (Fault.Worker_crash, 0.0);
       ]
     (fun () ->
       let dir = temp_dir () in
@@ -316,53 +315,6 @@ let test_store_survives_injection () =
       Alcotest.(check bool) "retries were recorded" true
         (h.Store.read_retries + h.Store.write_retries > 0))
 
-let test_context_degrades_when_store_unavailable () =
-  (* A store that always fails: the context absorbs a bounded number of
-     errors, then stops touching the store and runs in-memory. *)
-  with_fault_plan ~seed:11
-    ~rates:
-      [
-        (Fault.Store_read, 1.0);
-        (Fault.Store_write, 1.0);
-        (Fault.Store_torn, 0.0);
-        (Fault.Worker_crash, 0.0);
-      ]
-    (fun () ->
-      let dir = temp_dir () in
-      let store = Store.open_ ~dir ~fingerprint:fp () in
-      let ctx = mk_ctx ~store () in
-      Alcotest.(check bool) "healthy at first" false (Ctx.store_degraded ctx);
-      let force_blob i =
-        Ctx.force_blob ctx ~kind:"serve"
-          ~key:(Printf.sprintf "degrade-%d" i)
-          ~valid:(fun _ -> true)
-          ~compute:(fun () -> Printf.sprintf "value-%d" i)
-      in
-      for i = 0 to 5 do
-        Alcotest.(check string)
-          (Printf.sprintf "blob %d correct despite store" i)
-          (Printf.sprintf "value-%d" i)
-          (force_blob i)
-      done;
-      Alcotest.(check bool) "degraded after repeated failures" true
-        (Ctx.store_degraded ctx);
-      let errors = Ctx.store_errors ctx in
-      Alcotest.(check bool) "errors were counted" true (errors > 0);
-      (* Once degraded the store is not touched again: error count is
-         frozen, results still correct. *)
-      Alcotest.(check string) "post-degrade blob correct" "value-99"
-        (Ctx.force_blob ctx ~kind:"serve" ~key:"degrade-99"
-           ~valid:(fun _ -> true)
-           ~compute:(fun () -> "value-99"));
-      Alcotest.(check int) "error count frozen" errors (Ctx.store_errors ctx);
-      Alcotest.(check int) "nothing reached the disk" 0
-        (Store.stats ~dir).Store.entries)
-
-(* --- measurement codec ----------------------------------------------- *)
-
-(* Floats from raw bit patterns exercise %h on denormals, huge exponents
-   and negative zero; NaN is excluded (it defeats structural equality, and
-   no real measurement produces it). *)
 let gen_float =
   QCheck.Gen.map
     (fun (a, b) ->
@@ -712,8 +664,6 @@ let () =
           Alcotest.test_case "racing workers simulate once" `Quick
             test_racing_workers_simulate_once;
           Alcotest.test_case "blob layer" `Quick test_blob_layer;
-          Alcotest.test_case "degrades when store unavailable" `Quick
-            test_context_degrades_when_store_unavailable;
           Alcotest.test_case "fingerprint shape" `Quick
             test_version_fingerprint_shape;
         ] );
