@@ -3,7 +3,8 @@
 # plan/execute/render pipeline must print byte-identical output whether
 # the execute stage runs on 1 domain or 4, and that output must match the
 # committed golden digest — a cold/warm store equivalence
-# gate, a serving-simulator gate (deterministic across -j, warm rerun
+# gate, a Ruby store gate (fig10-12's store entries matching their
+# committed digest), a serving-simulator gate (deterministic across -j, warm rerun
 # fully store-served, a policy-heavy run matching its committed golden
 # digest), a fault-injection gate (injected faults must not
 # change a single output byte, the chaos drills must pass, and the store
@@ -88,6 +89,29 @@ if ! grep -q 'simulations: 0,' "$warmerr"; then
 fi
 MMSTUDY_CACHE_DIR="$cachedir" $MMSTUDY cache stats
 echo "cold = warm = uncached, 0 warm simulations."
+
+echo "== ruby store golden: fig10-12 store entries must match the committed md5 =="
+# The Ruby figures into one fresh store; the entries' names and bytes
+# (not only stdout) are pinned, so a restart period computed from the
+# no-restart run must store exactly what simulating it would.
+rgolden=test/golden/store_ruby_scale0.01.md5
+rubydir=$(mktemp -d)
+trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr"; rm -rf "$cachedir" "$rubydir"' EXIT
+for exp in fig10 fig11 fig12; do
+  MMSTUDY_CACHE_DIR="$rubydir" $TO $MMSTUDY run $exp --scale 0.01 -j 2 > /dev/null 2>&1
+done
+rmd5=$( (cd "$rubydir" && for f in $(ls | grep '\.meas$' | LC_ALL=C sort); do
+  printf '%s\n' "$f"; cat "$f"; done) | md5sum | cut -d' ' -f1)
+rm -rf "$rubydir"
+if [ "$(sed -n 's/^fingerprint //p' "$rgolden")" != "$fingerprint" ]; then
+  echo "FAIL: simulator fingerprint $fingerprint, $rgolden records another" >&2
+  exit 1
+fi
+if [ "$rmd5" != "$(sed -n 's/^md5 //p' "$rgolden")" ]; then
+  echo "FAIL: ruby store md5 $rmd5 differs from $rgolden" >&2
+  exit 1
+fi
+echo "md5 $rmd5 matches $rgolden."
 
 echo "== serve smoke: deterministic across -j, memoized through the store =="
 # A short serving sweep on a fresh store: deterministic at any job count,

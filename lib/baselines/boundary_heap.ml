@@ -38,7 +38,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   p : params;
-  owner : string;  (* "<params owner>[pid]", formatted once *)
+  owner : Os.owner;
   code_base : int;
   bins : int;  (* base address of bin head nodes *)
   nbins : int;  (* sized bins *)
@@ -137,7 +137,7 @@ let new_block t =
 let create p ~os ~mem ~pid ~code_base =
   let nbins = bin_count p in
   let bins_bytes = (nbins + 1) * 16 in
-  let owner = Printf.sprintf "%s[%d]" p.owner pid in
+  let owner = Os.owner os ~name:p.owner ~pid in
   let bins = Os.mmap os ~owner ~bytes:bins_bytes ~align:64 ~large_pages:false in
   let t =
     {
@@ -371,7 +371,7 @@ let free_all t =
   t.mmapped_live <- [];
   t.live <- 0
 
-let consumption t = Os.claimed_bytes t.os ~owner:t.owner
+let consumption t = Os.claimed t.owner
 
 let live_objects t = t.live
 

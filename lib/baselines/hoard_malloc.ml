@@ -53,7 +53,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  owner : string;  (* "name[pid]", formatted once *)
+  owner : Os.owner;
   code_base : int;
   meta : int;  (* avail_head[c] at meta+8c, empty_cache[c] at meta+8(n+c) *)
   mutable live : int;
@@ -61,7 +61,7 @@ type t = {
 }
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  let owner = Printf.sprintf "%s[%d]" name pid in
+  let owner = Os.owner os ~name ~pid in
   let meta =
     Os.mmap os ~owner ~bytes:(16 * nclasses) ~align:64 ~large_pages:false
   in
@@ -243,7 +243,7 @@ let realloc t ~addr ~size =
 
 let free_all (_ : t) = invalid_arg "hoard has no bulk free"
 
-let consumption t = Os.claimed_bytes t.os ~owner:t.owner
+let consumption t = Os.claimed t.owner
 
 let live_objects t = t.live
 

@@ -30,7 +30,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  owner : string;  (* "name[pid]", formatted once *)
+  owner : Os.owner;
   code_base : int;
   mutable head_chunk : int;  (* most recent chunk base; 0 if none *)
   mutable bump : int;
@@ -62,7 +62,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
       mem;
       os;
       cfg = config;
-      owner = Printf.sprintf "%s[%d]" name pid;
+      owner = Os.owner os ~name ~pid;
       code_base;
       head_chunk = 0;
       bump = 0;
@@ -133,7 +133,7 @@ let free_all t =
   Hashtbl.reset t.sizes;
   release chain
 
-let consumption t = Os.claimed_bytes t.os ~owner:t.owner
+let consumption t = Os.claimed t.owner
 
 let live_objects t = t.live
 

@@ -28,7 +28,7 @@ type t = {
   mem : Memory.t;
   os : Os.t;
   cfg : config;
-  owner : string;  (* "name[pid]", formatted once *)
+  owner : Os.owner;
   code_base : int;
   state : int;  (* address of the allocator's own state words *)
   mutable chunks : int array;  (* chunk base addresses, in mapping order *)
@@ -49,7 +49,7 @@ let map_chunk t =
   base
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  let owner = Printf.sprintf "%s[%d]" name pid in
+  let owner = Os.owner os ~name ~pid in
   let state = Os.mmap os ~owner ~bytes:64 ~align:64 ~large_pages:false in
   let t =
     {

@@ -40,7 +40,7 @@ type t = {
   os : Os.t;
   cfg : config;
   scheme : Core.Size_class.scheme;
-  owner : string;  (* "name[pid]", formatted once *)
+  owner : Os.owner;
   code_base : int;
   meta : int;
   mutable live : int;
@@ -50,7 +50,7 @@ type t = {
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let scheme = Core.Size_class.fine ~max_size:(config.span_size / 4) in
   let n = Core.Size_class.class_count scheme in
-  let owner = Printf.sprintf "%s[%d]" name pid in
+  let owner = Os.owner os ~name ~pid in
   let meta =
     Os.mmap os ~owner ~bytes:(n * rec_bytes) ~align:64 ~large_pages:false
   in
@@ -236,7 +236,7 @@ let realloc t ~addr ~size =
 
 let free_all (_ : t) = invalid_arg "tcmalloc has no bulk free"
 
-let consumption t = Os.claimed_bytes t.os ~owner:t.owner
+let consumption t = Os.claimed t.owner
 
 let live_objects t = t.live
 

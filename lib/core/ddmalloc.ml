@@ -101,7 +101,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
      different processes' metadata do not collide in the same cache sets. *)
   let stagger = if cfg.pid_metadata_offset then pid * 320 mod 3840 else 0 in
   let meta_bytes = 4096 + (nclasses * class_rec_bytes) + nsegs + 64 in
-  let owner = Printf.sprintf "%s[%d]" name pid in
+  let owner = Os.owner os ~name ~pid in
   let meta_base =
     Os.mmap os ~owner ~bytes:meta_bytes ~align:4096 ~large_pages:false
   in

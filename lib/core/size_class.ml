@@ -1,7 +1,7 @@
 type scheme = {
   name : string;
   sizes : int array;
-  map : int array;  (* size -> class index, for all sizes in [0, max] *)
+  map : Bytes.t;  (* size -> class index as one byte, for sizes in [0, max] *)
 }
 
 let name t = t.name
@@ -14,29 +14,28 @@ let class_sizes t = Array.copy t.sizes
 
 let index_of_size t n =
   assert (n >= 1 && n <= max_size t);
-  t.map.(n)
+  Char.code (Bytes.get t.map n)
 
 let size_of_index t i = t.sizes.(i)
 
-let overhead t n = t.sizes.(t.map.(n)) - n
+let overhead t n = t.sizes.(Char.code (Bytes.get t.map n)) - n
 
 let of_sizes ~name sizes =
-  assert (Array.length sizes > 0);
+  assert (Array.length sizes > 0 && Array.length sizes <= 256);
   Array.iteri
     (fun i s ->
       assert (s > 0);
       if i > 0 then assert (s > sizes.(i - 1)))
     sizes;
   let max = sizes.(Array.length sizes - 1) in
-  let map = Array.make (max + 1) 0 in
-  (* Walk sizes upward, assigning each request size the smallest class that
-     fits it. *)
-  let cls = ref 0 in
-  for n = 1 to max do
-    while sizes.(!cls) < n do
-      incr cls
-    done;
-    map.(n) <- !cls
+  (* Each request size maps to the smallest class that fits it: sizes in
+     (sizes.(i-1), sizes.(i)] to class i.  One byte per size and one fill
+     per class: decoding a stored DDmalloc configuration rebuilds this map
+     (up to 64K sizes) on every store read, and an [int array] of that
+     length costs 512 KB. *)
+  let map = Bytes.make (max + 1) '\000' in
+  for i = 1 to Array.length sizes - 1 do
+    Bytes.fill map (sizes.(i - 1) + 1) (sizes.(i) - sizes.(i - 1)) (Char.chr i)
   done;
   { name; sizes; map }
 

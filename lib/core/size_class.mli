@@ -15,6 +15,7 @@ val max_size : scheme -> int
     large-object path. *)
 
 val class_count : scheme -> int
+(** At most 256. *)
 
 val class_sizes : scheme -> int array
 (** Ascending object sizes, one per class. *)
@@ -41,4 +42,4 @@ val fine : max_size:int -> scheme
     more (and colder) free lists. *)
 
 val of_sizes : name:string -> int array -> scheme
-(** Build a scheme from an explicit ascending size list. *)
+(** Build a scheme from an explicit ascending list of at most 256 sizes. *)

@@ -93,7 +93,12 @@ val ruby_key :
   key
 (** Plan a Ruby-runtime run on 8 Xeon cores: no freeAll; optional
     periodic process restarts (period counted per worker).  Four workers
-    are simulated so restart effects land inside the measured window. *)
+    are simulated so restart effects land inside the measured window.
+    A period no worker reaches
+    ({!Mm_runtime.Engine.effective_restart_period}) keeps its own store
+    key and bytes, but its measurement is the no-restart key's with [cfg]
+    relabelled: forcing it forces the no-restart key, not a second
+    simulation. *)
 
 val force : t -> key -> Mm_runtime.Engine.measurement
 (** Memoized execution of one key.  Thread-safe; concurrent forces of the
@@ -110,7 +115,8 @@ val prefetch : t -> jobs:int -> key list -> unit
 val simulated : t -> int
 (** Number of simulations actually executed so far (misses of both the
     memo table and the store), for dedup accounting, the CLI's execution
-    summary, and tests. *)
+    summary, and tests.  A key relabelled from another key's measurement
+    (see {!ruby_key}) counts as neither a simulation nor a disk hit. *)
 
 val disk_hits : t -> int
 (** Number of measurements served from the persistent store instead of

@@ -43,11 +43,16 @@ let create () =
     last_block = no_block;
   }
 
+(* Also drops the cached block reference, so a dropped block can be
+   collected. *)
+let invalidate_last_block t =
+  t.last_id <- -1;
+  t.last_block <- no_block
+
 let reset t =
   Hashtbl.reset t.blocks;
   t.accesses <- 0;
-  t.last_id <- -1;
-  t.last_block <- no_block
+  invalidate_last_block t
 
 let set_context t ctx = t.ctx <- ctx
 
@@ -228,6 +233,28 @@ let instr t n =
   t.on_instr t.ctx n
 
 let code_touch t ~addr = t.on_code t.ctx addr
+
+(* Only whole blocks go: a partial block at either end may hold live bytes
+   of a neighbouring range.  The cost is O(min(blocks in range, blocks
+   backed)), so a sparsely written 256 MB arena is cheap to drop. *)
+let discard t ~addr ~bytes =
+  assert (addr >= 0 && bytes >= 0);
+  let first = (addr + block_mask) lsr block_bits in
+  let last = ((addr + bytes) lsr block_bits) - 1 in
+  if first <= last then begin
+    if last - first < Hashtbl.length t.blocks then
+      for id = first to last do
+        Hashtbl.remove t.blocks id
+      done
+    else
+      (* Collect, then remove: [filter_map_inplace] would allocate a
+         [Some] for every block kept. *)
+      List.iter (Hashtbl.remove t.blocks)
+        (Hashtbl.fold
+           (fun id _ acc -> if id >= first && id <= last then id :: acc else acc)
+           t.blocks []);
+    invalidate_last_block t
+  end
 
 let backed_bytes t = Hashtbl.length t.blocks * block_size
 

@@ -38,6 +38,14 @@ val create : unit -> t
 val reset : t -> unit
 (** Drop all backing blocks and zero the statistics; observers stay. *)
 
+val discard : t -> addr:int -> bytes:int -> unit
+(** Drop the backing of every whole 64 KB block inside
+    [\[addr, addr + bytes)]; those addresses read as zero again and cost
+    no host memory until written.  Partial blocks at either end keep
+    their bytes.  Emits no event: this is host-memory bookkeeping for
+    ranges the simulation will never touch again (a restarted worker's
+    dead heap). *)
+
 (** {2 Context and observers} *)
 
 val set_context : t -> Access.context -> unit

@@ -60,6 +60,15 @@ let config ~machine ~active_cores ~kind ~spec ?(scale = 1.0) ?warmup_txns
   in
   { tmp with warmup_txns = warmup; measure_txns = measure }
 
+let max_txns_per_process cfg =
+  let p = effective_processes cfg in
+  (cfg.warmup_txns + cfg.measure_txns + p - 1) / p
+
+let effective_restart_period cfg =
+  match cfg.restart_period with
+  | Some k when k > max_txns_per_process cfg -> None
+  | period -> period
+
 type measurement = {
   cfg : config;
   events : Events.t;

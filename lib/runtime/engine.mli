@@ -74,6 +74,17 @@ val config :
     pages, seed 42, no restarts, processes = the machine's worker count
     divided by active cores (capped at 8 simulated). *)
 
+val max_txns_per_process : config -> int
+(** The most transactions any one worker completes in a {!run}:
+    ⌈(warmup + measure) / processes⌉.  Workers complete transactions in
+    strict rotation (every transaction of a spec is the same number of
+    allocation events), so no worker gets further ahead than that. *)
+
+val effective_restart_period : config -> int option
+(** [restart_period], or [None] when the period exceeds
+    {!max_txns_per_process}: such a restart never fires, and {!run}
+    returns the no-restart measurement in every field but [cfg]. *)
+
 type measurement = {
   cfg : config;
   events : Mm_cachesim.Events.t;  (** totals over the measured window *)

@@ -62,13 +62,13 @@ let create ~kind ~os ~mem ~spec ~pid ~seed ~use_bulk_free =
   let handle = Alloc_factory.create kind ~os ~mem ~pid in
   let ws_base =
     Os.mmap os
-      ~owner:(Printf.sprintf "app-ws[%d]" pid)
+      ~owner:(Os.owner os ~name:"app-ws" ~pid)
       ~bytes:spec.Spec.app_ws_bytes ~align:4096 ~large_pages:false
   in
   let stream_bytes = 1024 * 1024 in
   let stream_base =
     Os.mmap os
-      ~owner:(Printf.sprintf "app-stream[%d]" pid)
+      ~owner:(Os.owner os ~name:"app-stream" ~pid)
       ~bytes:stream_bytes ~align:4096 ~large_pages:false
   in
   {
@@ -264,6 +264,12 @@ let restart t =
   t.ops_in_txn <- 0;
   t.credit.free_credit <- 0.0;
   t.credit.realloc_credit <- 0.0;
+  (* The dead heap's host backing goes before the fresh allocator maps
+     anything.  Its claimed bytes stay on the owner, which the fresh
+     allocator inherits, so consumption keeps counting the predecessor's
+     heap: that accounting feeds stored measurements and is kept on
+     purpose (see ROADMAP). *)
+  Os.retire t.os (Os.owner t.os ~name:t.handle.Core.Allocator.h_name ~pid:t.pid);
   t.handle <- Alloc_factory.create t.kind ~os:t.os ~mem:t.mem ~pid:t.pid;
   t.nrestarts <- t.nrestarts + 1
 

@@ -43,7 +43,8 @@ val consumption_peaks : t -> Mm_stats.Summary.t
 
 val restart : t -> unit
 (** Ruby-runtime process restart: discards the heap (a fresh allocator
-    instance), clears the object pool, and charges the kernel and
+    instance, after {!Mm_memsim.Os_layer.retire} drops the old heap's host
+    backing), clears the object pool, and charges the kernel and
     application the cost of tearing down and rebooting the worker. *)
 
 val restarts : t -> int

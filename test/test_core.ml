@@ -62,9 +62,12 @@ let prop_class_covers_size =
   QCheck.Test.make ~name:"class size covers request, previous class does not"
     QCheck.(int_range 1 16384)
     (fun size ->
-      let i = SC.index_of_size paper size in
-      let cls = SC.size_of_index paper i in
-      cls >= size && (i = 0 || SC.size_of_index paper (i - 1) < size))
+      List.for_all
+        (fun scheme ->
+          let i = SC.index_of_size scheme size in
+          let cls = SC.size_of_index scheme i in
+          cls >= size && (i = 0 || SC.size_of_index scheme (i - 1) < size))
+        [ paper; SC.fine ~max_size:16384; SC.power_of_two ~max_size:16384 ])
 
 (* --- DDmalloc --- *)
 

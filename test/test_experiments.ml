@@ -224,6 +224,44 @@ let test_context_distinguishes_dd_configs () =
     (Mm_stats.Summary.mean a.Engine.consumption
     <> Mm_stats.Summary.mean b.Engine.consumption)
 
+(* fig12's "2500" label runs restart period 250, beyond the 68
+   transactions any of its 4 workers completes: its keys are relabelled
+   no-restart measurements, so fig12 simulates 8 of its 10 keys and the
+   whole Ruby plan 10 of 12.  A store still gets one entry per key. *)
+let test_unreachable_restart_reuses_no_restart () =
+  let dir = Filename.temp_file "mmstudy-ruby" "" in
+  Sys.remove dir;
+  let store =
+    Mm_store.Store.open_ ~dir ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
+  in
+  let ctx = Ctx.create ~scale:0.0005 ~store () in
+  let force_all keys = List.map (Ctx.force ctx) keys in
+  ignore (force_all (Mm_experiments.Exp_ruby.plan_fig12 ctx) : Engine.measurement list);
+  Alcotest.(check int) "fig12 simulations" 8 (Ctx.simulated ctx);
+  ignore (force_all (Mm_experiments.Exp_ruby.plan_fig10 ctx) : Engine.measurement list);
+  Alcotest.(check int) "fig10-12 simulations" 10 (Ctx.simulated ctx);
+  List.iter
+    (fun kind ->
+      let run restart_period =
+        Ctx.run_ruby ctx ~kind ~restart_period ~measure_txns:240
+      in
+      let never = run None and p250 = run (Some 250) in
+      Alcotest.(check (option int)) "relabelled period" (Some 250)
+        p250.Engine.cfg.Engine.restart_period;
+      Alcotest.(check string) "every other field is the no-restart run"
+        (Engine.measurement_to_string never)
+        (Engine.measurement_to_string
+           { p250 with Engine.cfg = never.Engine.cfg }))
+    [ Factory.Glibc; Factory.Dd None ];
+  let warm = Ctx.create ~scale:0.0005 ~store () in
+  List.iter
+    (fun k -> ignore (Ctx.force warm k : Engine.measurement))
+    (Mm_experiments.Exp_ruby.plan_fig12 warm);
+  Alcotest.(check int) "warm: every fig12 key from disk" 10 (Ctx.disk_hits warm);
+  Alcotest.(check int) "warm: no simulation" 0 (Ctx.simulated warm);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_light_experiments_print () =
   (* The cheap drivers must run end to end without raising. *)
   let small = Ctx.create ~scale:0.02 () in
@@ -264,5 +302,7 @@ let () =
           Alcotest.test_case "dd configs not conflated" `Quick
             test_context_distinguishes_dd_configs;
           Alcotest.test_case "light drivers print" `Quick test_light_experiments_print;
+          Alcotest.test_case "unreachable restart reuses no-restart" `Quick
+            test_unreachable_restart_reuses_no_restart;
         ] );
     ]

@@ -119,6 +119,53 @@ let test_reset () =
   Alcotest.(check int) "cleared" 0 (Memory.load_word mem ~addr:base);
   Alcotest.(check int) "no backing" 0 (Memory.backed_bytes mem)
 
+let blk = Memory.block_size
+
+(* The range covers block 0 from offset 64, blocks 1 and 2 whole and
+   block 3 up to offset 128: only blocks 1 and 2 may go. *)
+let test_discard_whole_blocks_only () =
+  let mem = Memory.create () in
+  let words =
+    [ base + 8; base + 64; base + blk + 8; base + (2 * blk) + 8;
+      base + (3 * blk) + 8; base + (3 * blk) + 512 ]
+  in
+  List.iteri (fun i addr -> Memory.store_word mem ~addr ~value:(i + 1)) words;
+  Memory.discard mem ~addr:(base + 64) ~bytes:((3 * blk) + 64);
+  Alcotest.(check (list int)) "partial blocks kept, whole blocks zero"
+    [ 1; 2; 0; 0; 5; 6 ]
+    (List.map (fun addr -> Memory.load_word mem ~addr) words);
+  Alcotest.(check int) "two blocks left" (2 * blk) (Memory.backed_bytes mem);
+  Memory.discard mem ~addr:(base + 8) ~bytes:(blk - 16);
+  Alcotest.(check int) "a range inside one block drops nothing" (2 * blk)
+    (Memory.backed_bytes mem)
+
+(* Each block goes through the lookup cache before it is dropped, and
+   both discard paths run: per-id removal (a range of fewer blocks than
+   are backed) and the table sweep (a range far larger). *)
+let test_discard_no_stale_reads () =
+  let mem = Memory.create () in
+  for i = 0 to 31 do
+    Memory.store_word mem ~addr:(base + (i * blk)) ~value:(i + 1);
+    ignore (Memory.load_word mem ~addr:(base + (i * blk)) : int)
+  done;
+  Memory.discard mem ~addr:base ~bytes:(4 * blk);
+  for i = 0 to 31 do
+    Alcotest.(check int) "after per-id discard"
+      (if i < 4 then 0 else i + 1)
+      (Memory.load_word mem ~addr:(base + (i * blk)))
+  done;
+  Memory.discard mem ~addr:(base + (4 * blk)) ~bytes:(4096 * blk);
+  for i = 0 to 31 do
+    Alcotest.(check int) "after sweep" 0
+      (Memory.load_word mem ~addr:(base + (i * blk)))
+  done;
+  Alcotest.(check int) "nothing backed" 0 (Memory.backed_bytes mem);
+  Memory.store8 mem ~addr:(base + 16) ~value:7;
+  Alcotest.(check int) "rewritten block starts zeroed" 0
+    (Memory.load_word mem ~addr:base);
+  Alcotest.(check int) "and holds the new byte" 7
+    (Memory.load8 mem ~addr:(base + 16))
+
 (* --- the zero-allocation contract (see memory.mli) ---
 
    With a full cache system attached, a simulated access must not allocate
@@ -284,11 +331,13 @@ let test_access_count () =
 
 (* --- Os layer --- *)
 
+let own os name = Os.owner os ~name ~pid:0
+
 let test_os_mmap_alignment_and_disjoint () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:"a" ~bytes:1000 ~align:4096 ~large_pages:false in
-  let b = Os.mmap os ~owner:"b" ~bytes:32768 ~align:32768 ~large_pages:false in
+  let a = Os.mmap os ~owner:(own os "a") ~bytes:1000 ~align:4096 ~large_pages:false in
+  let b = Os.mmap os ~owner:(own os "b") ~bytes:32768 ~align:32768 ~large_pages:false in
   Alcotest.(check int) "a aligned" 0 (a mod 4096);
   Alcotest.(check int) "b aligned" 0 (b mod 32768);
   Alcotest.(check bool) "disjoint" true (b >= a + 1000 || a >= b + 32768)
@@ -296,18 +345,44 @@ let test_os_mmap_alignment_and_disjoint () =
 let test_os_claimed_accounting () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:"x" ~bytes:5000 ~align:64 ~large_pages:false in
-  ignore (Os.mmap os ~owner:"y" ~bytes:100 ~align:64 ~large_pages:false);
-  Alcotest.(check int) "claimed x" 5000 (Os.claimed_bytes os ~owner:"x");
+  let a = Os.mmap os ~owner:(own os "x") ~bytes:5000 ~align:64 ~large_pages:false in
+  ignore (Os.mmap os ~owner:(own os "y") ~bytes:100 ~align:64 ~large_pages:false);
+  Alcotest.(check int) "claimed x" 5000 (Os.claimed_bytes os ~owner:"x[0]");
   Alcotest.(check int) "total" 5100 (Os.total_claimed os);
-  Os.munmap os ~owner:"x" ~addr:a ~bytes:5000;
-  Alcotest.(check int) "after munmap" 0 (Os.claimed_bytes os ~owner:"x")
+  Os.munmap os ~owner:(own os "x") ~addr:a ~bytes:5000;
+  Alcotest.(check int) "after munmap" 0 (Os.claimed_bytes os ~owner:"x[0]")
+
+(* A dead owner's range ends in the block where a live owner's range
+   starts: retiring the dead one keeps that block byte for byte. *)
+let test_os_retire_keeps_shared_block () =
+  let mem = Memory.create () in
+  let os = Os.create mem in
+  let dead = own os "dead" and live = own os "live" in
+  let d = Os.mmap os ~owner:dead ~bytes:((3 * blk) + 100) ~align:blk ~large_pages:false in
+  let l = Os.mmap os ~owner:live ~bytes:8192 ~align:64 ~large_pages:false in
+  Alcotest.(check int) "ranges share block 3" ((d lsr 16) + 3) (l lsr 16);
+  Memory.memset mem ~addr:d ~bytes:((3 * blk) + 100) ~value:0xd;
+  Memory.memset mem ~addr:l ~bytes:8192 ~value:0x1;
+  let claimed = Os.total_claimed os in
+  Os.retire os dead;
+  Alcotest.(check int) "whole dead blocks dropped" blk (Memory.backed_bytes mem);
+  Alcotest.(check int) "claimed bytes unchanged" claimed (Os.total_claimed os);
+  Alcotest.(check int) "dead whole block reads zero" 0 (Memory.load8 mem ~addr:d);
+  Alcotest.(check int) "dead tail in the shared block kept" 0xd
+    (Memory.load8 mem ~addr:(d + (3 * blk) + 99));
+  for i = 0 to 8191 do
+    if Memory.load8 mem ~addr:(l + i) <> 0x1 then
+      Alcotest.failf "live byte %d changed" i
+  done;
+  Os.retire os dead;
+  Alcotest.(check int) "a second retire drops nothing more" blk
+    (Memory.backed_bytes mem)
 
 let test_os_page_size () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let small = Os.mmap os ~owner:"s" ~bytes:8192 ~align:4096 ~large_pages:false in
-  let large = Os.mmap os ~owner:"l" ~bytes:8192 ~align:4096 ~large_pages:true in
+  let small = Os.mmap os ~owner:(own os "s") ~bytes:8192 ~align:4096 ~large_pages:false in
+  let large = Os.mmap os ~owner:(own os "l") ~bytes:8192 ~align:4096 ~large_pages:true in
   Alcotest.(check int) "small pages" 4096 (Os.page_size_of os ~addr:small);
   Alcotest.(check int) "large pages" (2 * 1024 * 1024)
     (Os.page_size_of os ~addr:(large + 100));
@@ -321,7 +396,7 @@ let test_os_syscall_charged_to_kernel () =
   Memory.set_instr_observer mem (fun ctx n ->
       if ctx = Access.Kernel then kernel_instr := !kernel_instr + n);
   Memory.set_context mem Access.Mgmt;
-  ignore (Os.mmap os ~owner:"k" ~bytes:64 ~align:64 ~large_pages:false);
+  ignore (Os.mmap os ~owner:(own os "k") ~bytes:64 ~align:64 ~large_pages:false);
   Alcotest.(check int) "syscall cost" Os.syscall_instructions !kernel_instr;
   Alcotest.(check bool) "context restored" true (Memory.context mem = Access.Mgmt)
 
@@ -370,10 +445,27 @@ let prop_word_roundtrip =
       Memory.store_word mem ~addr ~value:v;
       Memory.load_word mem ~addr = v)
 
+(* Words spread over 8 blocks, one discard: a word reads back zero exactly
+   when its whole block lies inside the discarded range. *)
+let prop_discard_matches_reference =
+  QCheck.Test.make ~name:"discard zeroes exactly the whole blocks in range"
+    QCheck.(pair (int_range 0 (8 * blk)) (int_range 0 (8 * blk)))
+    (fun (off, len) ->
+      let mem = Memory.create () in
+      let addrs = List.init 64 (fun i -> base + (i * (blk / 8)) + 24) in
+      List.iter (fun addr -> Memory.store_word mem ~addr ~value:addr) addrs;
+      Memory.discard mem ~addr:(base + off) ~bytes:len;
+      List.for_all
+        (fun addr ->
+          let b0 = addr land lnot (blk - 1) in
+          let gone = b0 >= base + off && b0 + blk <= base + off + len in
+          Memory.load_word mem ~addr = if gone then 0 else addr)
+        addrs)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_memset_matches_reference; prop_memcpy_matches_reference;
-      prop_word_roundtrip ]
+      prop_word_roundtrip; prop_discard_matches_reference ]
 
 let () =
   Alcotest.run "mm_memsim"
@@ -393,6 +485,10 @@ let () =
           Alcotest.test_case "memcpy cold to cold" `Quick test_memcpy_cold_to_cold_stays_cold;
           Alcotest.test_case "memcpy into cold" `Quick test_memcpy_into_cold_materializes;
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "discard whole blocks only" `Quick
+            test_discard_whole_blocks_only;
+          Alcotest.test_case "discard leaves no stale bytes" `Quick
+            test_discard_no_stale_reads;
         ] );
       ( "events",
         [
@@ -413,6 +509,8 @@ let () =
         [
           Alcotest.test_case "mmap alignment" `Quick test_os_mmap_alignment_and_disjoint;
           Alcotest.test_case "claimed accounting" `Quick test_os_claimed_accounting;
+          Alcotest.test_case "retire keeps shared block" `Quick
+            test_os_retire_keeps_shared_block;
           Alcotest.test_case "page sizes" `Quick test_os_page_size;
           Alcotest.test_case "syscall to kernel" `Quick test_os_syscall_charged_to_kernel;
         ] );

@@ -130,6 +130,90 @@ let test_engine_restart_mode () =
     true
     (with_restarts > 2 * without)
 
+let ruby_kinds = [ Factory.Glibc; Factory.Hoard; Factory.Tcmalloc; Factory.Dd None ]
+
+(* A restart retires the dead heap's host memory, not its accounting. *)
+let test_restart_retires_backing () =
+  List.iter
+    (fun kind ->
+      let name = Factory.kind_name kind in
+      let mem = Mm_memsim.Memory.create () in
+      let os = Mm_memsim.Os_layer.create mem in
+      let spec = Spec.scaled Spec.rails ~scale:0.01 in
+      let p =
+        Mm_runtime.Process.create ~kind ~os ~mem ~spec ~pid:0 ~seed:42
+          ~use_bulk_free:false
+      in
+      while Mm_runtime.Process.txns_done p < 3 do
+        ignore (Mm_runtime.Process.step p ~ops:spec.Spec.mallocs : bool)
+      done;
+      (* A Ruby transaction frees what it allocates, so the heap is a few
+         blocks; one written 512 KB object makes the dead heap outweigh
+         whatever the fresh allocator maps. *)
+      let bytes = 8 * Mm_memsim.Memory.block_size in
+      let big = (Mm_runtime.Process.handle p).Core.Allocator.h_malloc ~size:bytes in
+      Mm_memsim.Memory.memset mem ~addr:big ~bytes ~value:0xff;
+      let backed = Mm_memsim.Memory.backed_bytes mem in
+      let owner = name ^ "[0]" in
+      let claimed = Mm_memsim.Os_layer.claimed_bytes os ~owner in
+      let total = Mm_memsim.Os_layer.total_claimed os in
+      Mm_runtime.Process.restart p;
+      let after = Mm_memsim.Memory.backed_bytes mem in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: backed bytes fall (%d -> %d)" name backed after)
+        true (after < backed);
+      Alcotest.(check int) (name ^ ": dead object reads zero") 0
+        (Mm_memsim.Memory.load_word mem
+           ~addr:(big + (4 * Mm_memsim.Memory.block_size)));
+      (* The fresh allocator adds its own start-up mappings, nothing more
+         and nothing less. *)
+      let fresh =
+        let mem = Mm_memsim.Memory.create () in
+        let os = Mm_memsim.Os_layer.create mem in
+        ignore (Factory.create kind ~os ~mem ~pid:0 : Core.Allocator.handle);
+        Mm_memsim.Os_layer.total_claimed os
+      in
+      Alcotest.(check int) (name ^ ": claimed bytes kept") (claimed + fresh)
+        (Mm_memsim.Os_layer.claimed_bytes os ~owner);
+      Alcotest.(check int) (name ^ ": total claimed kept") (total + fresh)
+        (Mm_memsim.Os_layer.total_claimed os))
+    ruby_kinds
+
+(* Nine transactions over four workers: no worker completes more than
+   three, so a period of 4 never fires and must reproduce the no-restart
+   run in every field but [cfg]; a period of 3 fires (worker 0 reaches
+   it) and must not.  Both machines, since Niagara's hardware threads
+   interleave at a finer grain than whole transactions. *)
+let test_unreachable_restart_is_no_restart () =
+  let cfg ~machine kind restart_period =
+    Engine.config ~machine ~active_cores:8 ~kind ~spec:Spec.rails ~scale:0.002
+      ~warmup_txns:3 ~measure_txns:6 ~processes:4 ~restart_period
+      ~use_bulk_free:false ()
+  in
+  let cases =
+    List.map (fun k -> (Machine.xeon, k)) ruby_kinds
+    @ [ (Machine.niagara, Factory.Glibc) ]
+  in
+  List.iter
+    (fun (machine, kind) ->
+      let label = machine.Machine.name ^ "/" ^ Factory.kind_name kind in
+      let none_cfg = cfg ~machine kind None in
+      let bound = Engine.max_txns_per_process none_cfg in
+      Alcotest.(check int) (label ^ ": bound") 3 bound;
+      let payload period =
+        let c = cfg ~machine kind (Some period) in
+        Alcotest.(check (option int)) (label ^ ": effective period")
+          (if period > bound then None else Some period)
+          (Engine.effective_restart_period c);
+        Engine.measurement_to_string { (Engine.run c) with Engine.cfg = none_cfg }
+      in
+      let none = Engine.measurement_to_string (Engine.run none_cfg) in
+      Alcotest.(check string) (label ^ ": period bound+1 = no restart") none
+        (payload (bound + 1));
+      Alcotest.(check bool) (label ^ ": period bound differs") true
+        (payload bound <> none))
+    cases
+
 let test_engine_event_per_txn () =
   let m = Engine.run (quick_cfg ()) in
   let direct =
@@ -175,6 +259,10 @@ let () =
           Alcotest.test_case "cores scale" `Quick test_engine_more_cores_more_throughput;
           Alcotest.test_case "scale correction" `Quick test_engine_scale_correction;
           Alcotest.test_case "restart mode" `Quick test_engine_restart_mode;
+          Alcotest.test_case "restart retires backing" `Quick
+            test_restart_retires_backing;
+          Alcotest.test_case "unreachable restart = no restart" `Quick
+            test_unreachable_restart_is_no_restart;
           Alcotest.test_case "event_per_txn" `Quick test_engine_event_per_txn;
           Alcotest.test_case "mgmt share ordering" `Quick test_mgmt_share_ordering;
         ] );
