@@ -9,7 +9,7 @@
 # digest), a fault-injection gate (injected faults must not
 # change a single output byte, the chaos drills must pass, and the store
 # suite must pass with injection armed), and a
-# perf smoke that times a small bench run so hot-path regressions show
+# perf smoke that times one small experiment so hot-path regressions show
 # up in CI logs.
 set -eu
 
@@ -185,20 +185,13 @@ MM_FAULT_SEED=42 $TO ./_build/default/test/test_store.exe > /dev/null 2>&1 \
   || { echo "FAIL: test_store under MM_FAULT_SEED=42" >&2; exit 1; }
 echo "test_store passes with injection armed."
 
-echo "== perf smoke: fig1 at scale 0.05 (wall-clock) =="
+echo "== perf smoke: mmstudy run fig1 at scale 0.05, -j 1, no cache (wall-clock) =="
 # Not a pass/fail gate — timing on shared CI boxes is too noisy for that —
-# but the number lands in the log for eyeballing against the committed
-# BENCH_RESULTS.json baseline.  Run from a scratch dir so the smoke's own
-# BENCH_RESULTS.json does not clobber the committed one.
-root=$PWD
-smokedir=$(mktemp -d)
-trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr" "$sj1" "$sj4" "$swarmerr" "$faultout" "$faulterr"; rm -rf "$cachedir" "$servedir" "$faultdir" "$smokedir"' EXIT
-# `time` is not available under dash; the bench prints per-experiment and
-# total wall-clock itself, bracket it with date for a coarse check.
+# but the number lands in the log for eyeballing.  Measured before/after
+# numbers come from perfbench/run.py.
+# `time` is not available under dash; bracket the run with date.
 t0=$(date +%s)
-( cd "$smokedir" && \
-  BENCH_ONLY=fig1 BENCH_SCALE=0.05 BENCH_SKIP_MICRO=1 BENCH_SKIP_WARM=1 \
-      $TO "$root/_build/default/bench/main.exe" )
+$TO $MMSTUDY run fig1 --scale 0.05 --no-cache -j 1 > /dev/null
 echo "perf smoke wall-clock: $(($(date +%s) - t0)) s"
 
 echo "ALL CHECKS PASSED"

@@ -125,10 +125,7 @@ let init_block t base bytes =
 let new_block t =
   Memory.instr t.mem 80;
   let bytes = t.p.block_size in
-  let base =
-    Os.mmap t.os ~owner:t.owner ~bytes ~align:64
-      ~large_pages:t.p.large_pages
-  in
+  let base = Os.mmap t.os ~owner:t.owner ~bytes ~align:64 in
   t.block_list <- (base, bytes) :: t.block_list;
   t.nblocks <- t.nblocks + 1;
   init_block t base bytes;
@@ -138,7 +135,7 @@ let create p ~os ~mem ~pid ~code_base =
   let nbins = bin_count p in
   let bins_bytes = (nbins + 1) * 16 in
   let owner = Os.owner os ~name:p.owner ~pid in
-  let bins = Os.mmap os ~owner ~bytes:bins_bytes ~align:64 ~large_pages:false in
+  let bins = Os.mmap os ~owner ~bytes:bins_bytes ~align:64 in
   let t =
     {
       mem;
@@ -246,10 +243,7 @@ let malloc t ~size =
     (* Too large for a block: a dedicated mapping, as glibc and Zend do. *)
     Memory.instr t.mem 60;
     touch t ~offset:1024 ~lines:3;
-    let chunk =
-      Os.mmap t.os ~owner:t.owner ~bytes:nb ~align:64
-        ~large_pages:t.p.large_pages
-    in
+    let chunk = Os.mmap t.os ~owner:t.owner ~bytes:nb ~align:64 in
     store_header t chunk (nb lor cur_inuse lor mmapped lor prev_inuse);
     t.mmapped_live <- (chunk, nb) :: t.mmapped_live;
     t.live <- t.live + 1;

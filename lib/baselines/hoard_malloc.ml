@@ -63,7 +63,7 @@ type t = {
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let owner = Os.owner os ~name ~pid in
   let meta =
-    Os.mmap os ~owner ~bytes:(16 * nclasses) ~align:64 ~large_pages:false
+    Os.mmap os ~owner ~bytes:(16 * nclasses) ~align:64
   in
   Memory.memset mem ~addr:meta ~bytes:(16 * nclasses) ~value:0;
   { mem; os; cfg = config; owner; code_base; meta; live = 0; sbs = 0 }
@@ -110,7 +110,7 @@ let new_superblock t c =
       Memory.instr t.mem 40;
       let sb =
         Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.superblock_size
-          ~align:t.cfg.superblock_size ~large_pages:t.cfg.large_pages
+          ~align:t.cfg.superblock_size
       in
       t.sbs <- t.sbs + 1;
       sb
@@ -132,10 +132,7 @@ let malloc t ~size =
     Memory.instr t.mem 60;
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + header in
-    let sb =
-      Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.superblock_size
-        ~large_pages:t.cfg.large_pages
-    in
+    let sb = Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.superblock_size in
     Memory.store_word t.mem ~addr:(sb + 24) ~value:(bytes lor large_flag);
     t.live <- t.live + 1;
     sb + header

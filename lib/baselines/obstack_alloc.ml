@@ -44,10 +44,7 @@ let round8 n = (n + 7) land lnot 7
 
 let new_chunk t ~payload_bytes =
   let bytes = Stdlib.max t.cfg.chunk_size (payload_bytes + chunk_header) in
-  let base =
-    Os.mmap t.os ~owner:t.owner ~bytes ~align:64
-      ~large_pages:t.cfg.large_pages
-  in
+  let base = Os.mmap t.os ~owner:t.owner ~bytes ~align:64 in
   (* Chain the new chunk in front and record its limit in its header. *)
   Memory.store_word t.mem ~addr:base ~value:t.head_chunk;
   Memory.store_word t.mem ~addr:(base + 8) ~value:(base + bytes);

@@ -41,16 +41,13 @@ type t = {
 }
 
 let map_chunk t =
-  let base =
-    Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.chunk_size ~align:4096
-      ~large_pages:t.cfg.large_pages
-  in
+  let base = Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.chunk_size ~align:4096 in
   t.chunks <- Array.append t.chunks [| base |];
   base
 
 let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let owner = Os.owner os ~name ~pid in
-  let state = Os.mmap os ~owner ~bytes:64 ~align:64 ~large_pages:false in
+  let state = Os.mmap os ~owner ~bytes:64 ~align:64 in
   let t =
     {
       mem;

@@ -52,7 +52,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let n = Core.Size_class.class_count scheme in
   let owner = Os.owner os ~name ~pid in
   let meta =
-    Os.mmap os ~owner ~bytes:(n * rec_bytes) ~align:64 ~large_pages:false
+    Os.mmap os ~owner ~bytes:(n * rec_bytes) ~align:64
   in
   Memory.memset mem ~addr:meta ~bytes:(n * rec_bytes) ~value:0;
   {
@@ -81,7 +81,7 @@ let carve_span t c =
   touch t ~offset:1536 ~lines:5;
   let span =
     Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.span_size
-      ~align:t.cfg.span_size ~large_pages:t.cfg.large_pages
+      ~align:t.cfg.span_size
   in
   Memory.store_word t.mem ~addr:span ~value:c;
   let osize = Core.Size_class.size_of_index t.scheme c in
@@ -155,10 +155,7 @@ let malloc t ~size =
     Memory.instr t.mem 70;
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + span_header in
-    let span =
-      Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.span_size
-        ~large_pages:t.cfg.large_pages
-    in
+    let span = Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.span_size in
     Memory.store_word t.mem ~addr:span ~value:(bytes lor large_flag);
     t.live <- t.live + 1;
     span + span_header

@@ -6,6 +6,13 @@ type reuse_policy =
   | Fifo
   | Addr_ordered
 
+let reuse_names = [ (Lifo, "lifo"); (Fifo, "fifo"); (Addr_ordered, "addr") ]
+
+let reuse_name r = List.assoc r reuse_names
+
+let reuse_of_name n =
+  List.find_map (fun (r, m) -> if m = n then Some r else None) reuse_names
+
 type config = {
   segment_size : int;
   arena_size : int;
@@ -102,12 +109,9 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   let stagger = if cfg.pid_metadata_offset then pid * 320 mod 3840 else 0 in
   let meta_bytes = 4096 + (nclasses * class_rec_bytes) + nsegs + 64 in
   let owner = Os.owner os ~name ~pid in
-  let meta_base =
-    Os.mmap os ~owner ~bytes:meta_bytes ~align:4096 ~large_pages:false
-  in
+  let meta_base = Os.mmap os ~owner ~bytes:meta_bytes ~align:4096 in
   let seg_base =
     Os.mmap os ~owner ~bytes:cfg.arena_size ~align:cfg.segment_size
-      ~large_pages:cfg.large_pages
   in
   let meta = meta_base + stagger in
   let class_rec_area = nclasses * class_rec_bytes in

@@ -31,6 +31,13 @@ type reuse_policy =
       (** ablation: address-ordered insertion, a defragmentation-flavoured
           policy whose O(list) insert shows why DDmalloc avoids it *)
 
+val reuse_name : reuse_policy -> string
+(** ["lifo"], ["fifo"] or ["addr"]: the policy's name in store keys and
+    stored measurements. *)
+
+val reuse_of_name : string -> reuse_policy option
+(** Inverse of {!reuse_name}. *)
+
 type config = {
   segment_size : int;  (** bytes per segment; paper uses 32 KB *)
   arena_size : int;  (** address space per heap; paper's region chunk scale *)

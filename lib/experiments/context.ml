@@ -7,40 +7,31 @@ module Pool = Mm_sched.Pool
 module Store = Mm_store.Store
 module Fault = Mm_fault.Fault
 
-type id = {
-  k_machine : string;
-  k_cores : int;
-  k_kind : string;
-  k_spec : string;
-  k_restart : int option;
-  k_large_pages : bool;
-  k_ruby : bool;
-  k_measure : int;
-  k_scale : float;
-  k_seed : int;
-      (* Part of the identity even though it is ambient in the [t]: the
-         persistent store outlives the process, so keys from runs with
-         different [--seed] values must never collide. *)
-}
-
+(* A planned configuration.  [name] is {!store_key_of_config} of [cfg],
+   rendered once: it is the memo identity, the in-flight identity and the
+   store key. *)
 type key = {
-  key_id : id;
-  fill : fill;
+  name : string;
+  cfg : Engine.config;
+  base : key option;
+      (* [Some b]: a configuration that provably behaves like [b]; its
+         measurement is [b]'s with [cfg] relabelled, not a simulation. *)
 }
 
-(* How a memo miss is filled: by simulating the configuration, or by
-   relabelling the measurement of a key it provably behaves like. *)
-and fill =
-  | Simulate of Engine.config
-  | Same_as of key * Engine.config
+(* One computation in flight.  Late requesters for the same name wait on
+   [cond] (under [t.lock]) instead of recomputing. *)
+type 'a cell = {
+  cond : Condition.t;
+  mutable state : [ `Pending | `Done of 'a | `Failed of exn ];
+}
 
-(* One configuration being simulated right now.  Late requesters for the
-   same id block on the cell instead of recomputing. *)
-type cell = {
-  c_mutex : Mutex.t;
-  c_cond : Condition.t;
-  mutable c_state :
-    [ `Pending | `Done of Engine.measurement | `Failed of exn ];
+(* One memo layer: finished values, in-flight cells and the counters of
+   where finished values came from. *)
+type 'a memo = {
+  table : (string, 'a) Hashtbl.t;
+  inflight : (string, 'a cell) Hashtbl.t;
+  mutable computed : int;
+  mutable disk_hits : int;
 }
 
 type t = {
@@ -48,15 +39,14 @@ type t = {
   seed : int;
   store : Store.t option;  (* read-through / write-behind disk layer *)
   refresh : bool;  (* skip store reads (still write) — force recompute *)
-  lock : Mutex.t;  (* guards cache, inflight, blob_cache and all counters *)
-  cache : (id, Engine.measurement) Hashtbl.t;
-  inflight : (id, cell) Hashtbl.t;
-  blob_cache : (string * string, string) Hashtbl.t;  (* (kind, key) *)
-  mutable n_simulated : int;
-  mutable n_disk_hits : int;
-  mutable n_blob_computed : int;
-  mutable n_blob_disk_hits : int;
+  lock : Mutex.t;  (* guards both memos *)
+  measurements : Engine.measurement memo;
+  blobs : string memo;  (* derived payloads (serve sweeps), by key *)
 }
+
+let memo () =
+  { table = Hashtbl.create 64; inflight = Hashtbl.create 8; computed = 0;
+    disk_hits = 0 }
 
 let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
   assert (scale > 0.0 && scale <= 1.0);
@@ -66,13 +56,8 @@ let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
     store;
     refresh;
     lock = Mutex.create ();
-    cache = Hashtbl.create 64;
-    inflight = Hashtbl.create 8;
-    blob_cache = Hashtbl.create 16;
-    n_simulated = 0;
-    n_disk_hits = 0;
-    n_blob_computed = 0;
-    n_blob_disk_hits = 0;
+    measurements = memo ();
+    blobs = memo ();
   }
 
 let scale t = t.scale
@@ -81,42 +66,67 @@ let seed t = t.seed
 
 let store t = t.store
 
-let simulated t =
+let counter t f =
   Mutex.lock t.lock;
-  let n = t.n_simulated in
+  let n = f t in
   Mutex.unlock t.lock;
   n
 
-let disk_hits t =
-  Mutex.lock t.lock;
-  let n = t.n_disk_hits in
-  Mutex.unlock t.lock;
-  n
+let simulated t = counter t (fun t -> t.measurements.computed)
 
-let key_name k =
-  let i = k.key_id in
-  Printf.sprintf "%s/%dc/%s/%s%s%s%s~s%d" i.k_machine i.k_cores i.k_kind
-    i.k_spec
-    (if i.k_large_pages then "+lp" else "")
-    (if i.k_ruby then
-       Printf.sprintf "+ruby:%s/%d"
-         (match i.k_restart with None -> "norestart" | Some p -> string_of_int p)
-         i.k_measure
-     else "")
-    (Printf.sprintf "@%g" i.k_scale)
-    i.k_seed
+let disk_hits t = counter t (fun t -> t.measurements.disk_hits)
 
-(* The canonical string the persistent store digests.  Every [id] field
-   appears, fully expanded; the scale is printed with %h so two scales
-   that differ in any bit get distinct keys. *)
-let store_key_of_id (i : id) =
+let blob_computed t = counter t (fun t -> t.blobs.computed)
+
+let blob_disk_hits t = counter t (fun t -> t.blobs.disk_hits)
+
+let store_errors t =
+  match t.store with
+  | None -> 0
+  | Some s ->
+    let h = Store.health s in
+    h.Store.read_failures + h.Store.write_failures
+
+(* Cache keys must distinguish allocator *configurations*, not just
+   families — the ablations sweep DDmalloc's parameters. *)
+let kind_key = function
+  | Factory.Dd (Some c) ->
+    Printf.sprintf "ddmalloc/%d/%d/%s.%d/%b/%b/%s"
+      c.Core.Ddmalloc.segment_size c.Core.Ddmalloc.arena_size
+      (Core.Size_class.name c.Core.Ddmalloc.scheme)
+      (Core.Size_class.class_count c.Core.Ddmalloc.scheme)
+      c.Core.Ddmalloc.pid_metadata_offset c.Core.Ddmalloc.large_pages
+      (Core.Ddmalloc.reuse_name c.Core.Ddmalloc.reuse)
+  | other -> Factory.kind_name other
+
+(* The canonical string the persistent store digests, a pure function of
+   the config.  The scale is printed with %h so two scales that differ in
+   any bit get distinct keys.  The fields it leaves out are determined by
+   the ones it has (DESIGN.md §9): a PHP key's transaction counts follow
+   from machine and cores, so it prints [measure=0]; a Ruby key
+   ([use_bulk_free] off) fixes its processes and derives its warm-up from
+   [measure]. *)
+let store_key_of_config (c : Engine.config) =
+  let ruby = not c.Engine.use_bulk_free in
   Printf.sprintf
-    "machine=%s;cores=%d;kind=%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
-    i.k_machine i.k_cores i.k_kind i.k_spec
-    (match i.k_restart with None -> "none" | Some p -> string_of_int p)
-    i.k_large_pages i.k_ruby i.k_measure i.k_scale i.k_seed
+    "machine=%s;cores=%d;kind=%s%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
+    c.Engine.machine.Machine.name c.Engine.active_cores (kind_key c.Engine.kind)
+    (if c.Engine.large_page_heap then "+lp" else "")
+    c.Engine.spec.Spec.name
+    (match c.Engine.restart_period with
+    | None -> "none"
+    | Some p -> string_of_int p)
+    c.Engine.large_page_heap ruby
+    (if ruby then c.Engine.measure_txns else 0)
+    c.Engine.scale c.Engine.seed
 
-let store_key k = store_key_of_id k.key_id
+let make_key ?base cfg = { name = store_key_of_config cfg; cfg; base }
+
+let key_name k = k.name
+
+let store_key k = k.name
+
+let config k = k.cfg
 
 (* DDmalloc as the paper ran it: large pages and the §3.3 metadata
    staggering on Niagara; stock configuration on Xeon (the paper disabled
@@ -136,42 +146,6 @@ let ruby_kinds =
 let heap_large_pages (machine : Machine.t) =
   machine.Machine.name = "niagara"
 
-(* Cache keys must distinguish allocator *configurations*, not just
-   families — the ablations sweep DDmalloc's parameters. *)
-let kind_key = function
-  | Factory.Dd (Some c) ->
-    Printf.sprintf "ddmalloc/%d/%d/%s.%d/%b/%b/%s"
-      c.Core.Ddmalloc.segment_size c.Core.Ddmalloc.arena_size
-      (Core.Size_class.name c.Core.Ddmalloc.scheme)
-      (Core.Size_class.class_count c.Core.Ddmalloc.scheme)
-      c.Core.Ddmalloc.pid_metadata_offset c.Core.Ddmalloc.large_pages
-      (match c.Core.Ddmalloc.reuse with
-      | Core.Ddmalloc.Lifo -> "lifo"
-      | Core.Ddmalloc.Fifo -> "fifo"
-      | Core.Ddmalloc.Addr_ordered -> "addr")
-  | other -> Factory.kind_name other
-
-let store_errors t =
-  match t.store with
-  | None -> 0
-  | Some s ->
-    let h = Store.health s in
-    h.Store.read_failures + h.Store.write_failures
-
-(* Disk layer: a validated read of one id's measurement, or None.  Any
-   store or decode failure is a miss — the caller recomputes and the
-   write-behind overwrites the bad entry. *)
-let read_store t id =
-  match t.store with
-  | Some s when not t.refresh -> (
-    match Store.find s ~key:(store_key_of_id id) with
-    | None -> None
-    | Some payload -> (
-      match Engine.measurement_of_string payload with
-      | Ok m -> Some m
-      | Error _ -> None))
-  | Some _ | None -> None
-
 (* Write-behind is best-effort: a full disk or read-only store directory
    (or a persistently-injected write fault) must not fail the run that
    just produced a perfectly good result. *)
@@ -179,84 +153,84 @@ let write_store s ?kind ~key data =
   try Store.store s ?kind ~key ~data ()
   with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ()
 
-(* Force a key: return the memoized measurement, computing it at most once
-   per process.  Concurrent requests for the same id rendezvous on an
-   in-flight cell; distinct ids simulate concurrently without holding
-   [t.lock] (safe because each Engine.run builds its own Memory,
-   Cache_system and RNGs — see lib/runtime/engine.mli).  Lookup order is
-   memory hit → disk hit → simulate (+ write-behind); the in-flight
-   rendezvous covers the disk read too, so racing requesters cost one
-   file read, not several. *)
-let rec force t key =
-  let id = key.key_id in
+let result = function
+  | `Done v -> v
+  | `Failed e -> raise e
+  | `Pending -> assert false
+
+(* The one memo path, for measurements and blobs alike: return the value
+   under [key], computing it at most once per process.  Lookup order is
+   memory hit → disk hit ([decode] of the stored payload; [None], like
+   any store failure, is a miss) → [compute] with write-behind of
+   [encode]d bytes.  Concurrent requests for one key rendezvous on an
+   in-flight cell that covers the disk read too, so racing requesters
+   cost one file read or one computation; distinct keys proceed
+   concurrently without holding [t.lock] (safe because each Engine.run
+   builds its own Memory, Cache_system and RNGs — see
+   lib/runtime/engine.mli).  A fresh value counts as computed only when
+   [counted]. *)
+let memoize t memo ?kind ~key ~decode ~encode ~counted compute =
   Mutex.lock t.lock;
-  match Hashtbl.find_opt t.cache id with
-  | Some m ->
+  match Hashtbl.find_opt memo.table key with
+  | Some v ->
     Mutex.unlock t.lock;
-    m
+    v
   | None -> (
-    match Hashtbl.find_opt t.inflight id with
+    match Hashtbl.find_opt memo.inflight key with
     | Some cell ->
-      Mutex.unlock t.lock;
-      Mutex.lock cell.c_mutex;
-      while cell.c_state = `Pending do
-        Condition.wait cell.c_cond cell.c_mutex
+      while cell.state = `Pending do
+        Condition.wait cell.cond t.lock
       done;
-      let state = cell.c_state in
-      Mutex.unlock cell.c_mutex;
-      (match state with
-      | `Done m -> m
-      | `Failed e -> raise e
-      | `Pending -> assert false)
-    | None ->
-      let cell =
-        {
-          c_mutex = Mutex.create ();
-          c_cond = Condition.create ();
-          c_state = `Pending;
-        }
-      in
-      Hashtbl.add t.inflight id cell;
       Mutex.unlock t.lock;
-      let outcome, from_disk =
-        match read_store t id with
-        | Some m -> (`Done m, true)
+      result cell.state
+    | None ->
+      let cell = { cond = Condition.create (); state = `Pending } in
+      Hashtbl.add memo.inflight key cell;
+      Mutex.unlock t.lock;
+      let from_disk =
+        match t.store with
+        | Some s when not t.refresh -> Option.bind (Store.find s ~key) decode
+        | Some _ | None -> None
+      in
+      let state =
+        match from_disk with
+        | Some v -> `Done v
         | None -> (
-          match (try `Done (fill t key) with e -> `Failed e) with
-          | `Done m as done_ ->
+          match compute () with
+          | v ->
             (* Serialise only when there is a store to write to. *)
-            Option.iter
-              (fun s ->
-                write_store s ~key:(store_key_of_id id)
-                  (Engine.measurement_to_string m))
-              t.store;
-            (done_, false)
-          | `Failed _ as failed -> (failed, false))
+            Option.iter (fun s -> write_store s ?kind ~key (encode v)) t.store;
+            `Done v
+          | exception e -> `Failed e)
       in
       Mutex.lock t.lock;
-      Hashtbl.remove t.inflight id;
-      (match outcome with
-      | `Done m -> (
-        Hashtbl.add t.cache id m;
-        match (from_disk, key.fill) with
-        | true, _ -> t.n_disk_hits <- t.n_disk_hits + 1
-        | false, Simulate _ -> t.n_simulated <- t.n_simulated + 1
-        | false, Same_as _ -> ())
+      Hashtbl.remove memo.inflight key;
+      (match state with
+      | `Done v ->
+        Hashtbl.add memo.table key v;
+        if Option.is_some from_disk then memo.disk_hits <- memo.disk_hits + 1
+        else if counted then memo.computed <- memo.computed + 1
       | `Failed _ -> ());
+      cell.state <- state;
+      Condition.broadcast cell.cond;
       Mutex.unlock t.lock;
-      Mutex.lock cell.c_mutex;
-      cell.c_state <- outcome;
-      Condition.broadcast cell.c_cond;
-      Mutex.unlock cell.c_mutex;
-      (match outcome with
-      | `Done m -> m
-      | `Failed e -> raise e
-      | `Pending -> assert false))
+      result state)
 
-and fill t key =
-  match key.fill with
-  | Simulate cfg -> Engine.run cfg
-  | Same_as (base, cfg) -> { (force t base) with Engine.cfg }
+let rec force t key =
+  memoize t t.measurements ~key:key.name
+    ~decode:(fun p -> Result.to_option (Engine.measurement_of_string p))
+    ~encode:Engine.measurement_to_string ~counted:(Option.is_none key.base)
+    (fun () ->
+      match key.base with
+      | None -> Engine.run key.cfg
+      | Some base -> { (force t base) with Engine.cfg = key.cfg })
+
+(* Blobs self-heal exactly like measurements: a stored payload the
+   caller's codec rejects is a miss. *)
+let force_blob t ~kind ~key ~valid ~compute =
+  memoize t t.blobs ~kind ~key
+    ~decode:(fun p -> if valid p then Some p else None)
+    ~encode:Fun.id ~counted:true compute
 
 let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
     () =
@@ -265,63 +239,28 @@ let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
     | Factory.Dd None -> dd_kind_for machine
     | other -> other
   in
-  let large_pages =
-    Option.value large_pages_override ~default:(heap_large_pages machine)
-  in
-  let scale = Option.value scale_override ~default:t.scale in
-  let id =
-    {
-      k_machine = machine.Machine.name;
-      k_cores = cores;
-      k_kind = kind_key kind ^ (if large_pages then "+lp" else "");
-      k_spec = spec.Spec.name;
-      k_restart = None;
-      k_large_pages = large_pages;
-      k_ruby = false;
-      k_measure = 0;
-      k_scale = scale;
-      k_seed = t.seed;
-    }
-  in
-  let cfg =
-    Engine.config ~machine ~active_cores:cores ~kind ~spec ~scale
-      ~large_page_heap:large_pages ~seed:t.seed ()
-  in
-  { key_id = id; fill = Simulate cfg }
+  make_key
+    (Engine.config ~machine ~active_cores:cores ~kind ~spec
+       ~scale:(Option.value scale_override ~default:t.scale)
+       ~large_page_heap:
+         (Option.value large_pages_override
+            ~default:(heap_large_pages machine))
+       ~seed:t.seed ())
 
 (* A restart period no worker reaches is computed from the no-restart
    key's memo entry (fig12's period 250): one simulation fewer, the same
    bytes under the same store key. *)
 let rec ruby_key t ~kind ~restart_period ~measure_txns =
-  let machine = Machine.xeon in
-  let spec = Spec.rails in
-  let id =
-    {
-      k_machine = machine.Machine.name;
-      k_cores = 8;
-      k_kind = Factory.kind_name kind;
-      k_spec = spec.Spec.name;
-      k_restart = restart_period;
-      k_large_pages = false;
-      k_ruby = true;
-      k_measure = measure_txns;
-      k_scale = t.scale;
-      k_seed = t.seed;
-    }
-  in
   let cfg =
-    Engine.config ~machine ~active_cores:8 ~kind ~spec ~scale:t.scale
-      ~seed:t.seed ~restart_period ~measure_txns ~processes:4
+    Engine.config ~machine:Machine.xeon ~active_cores:8 ~kind ~spec:Spec.rails
+      ~scale:t.scale ~seed:t.seed ~restart_period ~measure_txns ~processes:4
       ~warmup_txns:(Stdlib.max 8 (measure_txns / 8))
       ~use_bulk_free:false ()
   in
-  let fill =
-    match Engine.effective_restart_period cfg with
-    | None when restart_period <> None ->
-      Same_as (ruby_key t ~kind ~restart_period:None ~measure_txns, cfg)
-    | Some _ | None -> Simulate cfg
-  in
-  { key_id = id; fill }
+  match Engine.effective_restart_period cfg with
+  | None when restart_period <> None ->
+    make_key ~base:(ruby_key t ~kind ~restart_period:None ~measure_txns) cfg
+  | Some _ | None -> make_key cfg
 
 let run_php t ~machine ~cores ~kind ~spec ?large_pages_override () =
   force t (php_key t ~machine ~cores ~kind ~spec ?large_pages_override ())
@@ -329,83 +268,28 @@ let run_php t ~machine ~cores ~kind ~spec ?large_pages_override () =
 let run_ruby t ~kind ~restart_period ~measure_txns =
   force t (ruby_key t ~kind ~restart_period ~measure_txns)
 
-let dedup_keys keys =
-  let seen = Hashtbl.create (List.length keys) in
-  List.filter
-    (fun k ->
-      if Hashtbl.mem seen k.key_id then false
-      else begin
-        Hashtbl.add seen k.key_id ();
-        true
-      end)
-    keys
-
 let prefetch t ~jobs keys =
-  let keys = dedup_keys keys in
-  (* Skip configurations already memoized so repeated prefetches are
-     cheap; [force] re-checks under the lock, this is only an early cut.
-     One lock acquisition over the whole filter — taking and releasing
-     the lock per key serialized against concurrent forces for nothing. *)
+  (* Collapse duplicates and skip configurations already memoized, so
+     repeated prefetches are cheap; [force] re-checks under the lock,
+     this is only an early cut.  One lock acquisition over the whole
+     filter — taking and releasing the lock per key serialized against
+     concurrent forces for nothing. *)
+  let seen = Hashtbl.create (List.length keys) in
   Mutex.lock t.lock;
-  let fresh = List.filter (fun k -> not (Hashtbl.mem t.cache k.key_id)) keys in
+  let fresh =
+    List.filter
+      (fun k ->
+        if Hashtbl.mem seen k.name || Hashtbl.mem t.measurements.table k.name
+        then false
+        else begin
+          Hashtbl.add seen k.name ();
+          true
+        end)
+      keys
+  in
   Mutex.unlock t.lock;
   ignore
     (Pool.run ~jobs (List.map (fun k () -> ignore (force t k)) fresh) : unit list)
-
-(* --- derived-artifact blobs ------------------------------------------ *)
-
-let blob_computed t =
-  Mutex.lock t.lock;
-  let n = t.n_blob_computed in
-  Mutex.unlock t.lock;
-  n
-
-let blob_disk_hits t =
-  Mutex.lock t.lock;
-  let n = t.n_blob_disk_hits in
-  Mutex.unlock t.lock;
-  n
-
-(* Same lookup discipline as [force] — memory hit → disk hit → compute,
-   with best-effort write-behind — but for opaque derived payloads (serve
-   sweeps).  [valid] guards the disk path: a stored payload the caller's
-   codec rejects is a miss, so blobs self-heal exactly like
-   measurements.  No in-flight rendezvous: blobs are computed by
-   sequential render passes, and the only cost of a rare race is one
-   duplicate computation of a cheap artifact. *)
-let force_blob t ~kind ~key ~valid ~compute =
-  let ck = (kind, key) in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.blob_cache ck with
-  | Some payload ->
-    Mutex.unlock t.lock;
-    payload
-  | None ->
-    Mutex.unlock t.lock;
-    let from_store =
-      match t.store with
-      | Some s when not t.refresh -> (
-        match Store.find s ~key with
-        | Some payload when valid payload -> Some payload
-        | Some _ | None -> None)
-      | Some _ | None -> None
-    in
-    let payload, from_disk =
-      match from_store with
-      | Some p -> (p, true)
-      | None ->
-        let p = compute () in
-        Option.iter (fun s -> write_store s ~kind ~key p) t.store;
-        (p, false)
-    in
-    Mutex.lock t.lock;
-    if not (Hashtbl.mem t.blob_cache ck) then begin
-      Hashtbl.add t.blob_cache ck payload;
-      if from_disk then t.n_blob_disk_hits <- t.n_blob_disk_hits + 1
-      else t.n_blob_computed <- t.n_blob_computed + 1
-    end;
-    Mutex.unlock t.lock;
-    payload
 
 let mgmt_fraction (m : Engine.measurement) =
   let p = m.Engine.perf in

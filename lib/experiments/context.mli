@@ -20,10 +20,12 @@
     persistent disk layer: {!force} resolves memory hit → disk hit →
     simulate, and write-behinds every fresh simulation, so the whole
     suite is incremental {e across processes}.  Store entries are keyed
-    by the fully-expanded configuration (including the seed) plus
+    by {!store_key} (a pure function of the key's
+    {!Mm_runtime.Engine.config}, seed included) plus
     [Mm_runtime.Version.sim_fingerprint], and decoded measurements are
     bit-exact ([%h] float round-trip), so warm output is byte-identical
-    to cold output. *)
+    to cold output.  Derived blobs ({!force_blob}) go through the same
+    memo path, in-flight rendezvous included. *)
 
 type t
 
@@ -60,15 +62,22 @@ type key
     identity plus how to run it.  Keys are cheap to build and pure —
     nothing is simulated until {!force} or {!prefetch}. *)
 
-val key_name : key -> string
-(** Stable human-readable identity, for logs and tests.  Includes the
-    seed. *)
-
 val store_key : key -> string
-(** The canonical configuration string the persistent store digests:
-    every identity field, fully expanded (machine, cores, canonical
-    allocator-config string, spec, restart/ruby/measure flags, bit-exact
-    scale, seed). *)
+(** The canonical configuration string the persistent store digests,
+    rendered once when the key is built and a pure function of
+    {!config}: machine, cores, allocator configuration (DDmalloc's
+    fields, with the size-class scheme as its name and class count) plus
+    ["+lp"] for a large-page heap, spec, restart period, large pages,
+    Ruby (no freeAll), measured transactions (0 for PHP keys, whose
+    transaction counts follow from machine and cores), bit-exact scale
+    and seed.  Two planned keys have equal strings exactly when their
+    configs are structurally equal. *)
+
+val key_name : key -> string
+(** The same string as {!store_key}, for logs and tests. *)
+
+val config : key -> Mm_runtime.Engine.config
+(** The configuration the key's measurement reports as its [cfg]. *)
 
 val php_key :
   t ->
@@ -131,10 +140,11 @@ val store_errors : t -> int
 (** {2 Derived-artifact blobs}
 
     Experiments that post-process measurements into a second artifact —
-    the serving simulator's latency sweeps — memoize that artifact here:
-    same memory → disk → compute discipline as {!force}, but over opaque
-    payload strings keyed by the caller, stored with a payload-kind tag
-    so store diagnostics can tell sweeps from measurements. *)
+    the serving simulator's latency sweeps — memoize that artifact here,
+    through {!force}'s memo path (memory → disk → compute, in-flight
+    rendezvous, write-behind), over opaque payload strings keyed by the
+    caller and stored with a payload-kind tag so store diagnostics can
+    tell sweeps from measurements. *)
 
 val force_blob :
   t ->
@@ -147,7 +157,8 @@ val force_blob :
     determining the payload (include the underlying {!store_key}s and
     every derivation parameter); [kind] tags the store entry (e.g.
     ["serve"]); a disk payload failing [valid] is treated as a miss and
-    recomputed.  Respects [refresh] (skip reads, still write). *)
+    recomputed.  Concurrent requests for one [key] compute it once.
+    Respects [refresh] (skip reads, still write). *)
 
 val blob_computed : t -> int
 (** Blobs computed fresh (memo and store misses). *)

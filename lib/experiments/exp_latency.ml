@@ -85,14 +85,10 @@ let sweep_points ?(policy = Mm_serve.Policy.none) ctx ~machine ~spec ~kind
       ~valid:(fun s -> Result.is_ok (Sweep.points_of_string s))
       ~compute
   in
+  (* [valid] gates stored payloads and [compute] encodes fresh ones. *)
   match Sweep.points_of_string payload with
   | Ok points -> points
-  | Error _ ->
-    (* Unreachable via the store ([valid] gates it); defensive for a
-       racing in-process overwrite. *)
-    (match Sweep.points_of_string (compute ()) with
-    | Ok points -> points
-    | Error e -> failwith ("serve sweep codec: " ^ e))
+  | Error e -> failwith ("serve sweep codec: " ^ e)
 
 let capacity_of ctx ~machine ~spec ~kind ~cores =
   let m = Context.run_php ctx ~machine ~cores ~kind ~spec () in
@@ -196,34 +192,3 @@ let render ctx =
         (100.0 *. Mm_stats.Summary.mean ratios)
         machine.Machine.name)
     machines
-
-type headline = {
-  h_machine : string;
-  h_spec : string;
-  h_alloc : string;
-  h_capacity : float;
-  h_max_rps : float;
-  h_p99_ms : float;
-}
-
-let headlines ctx =
-  let machine = Machine.xeon in
-  let spec = Spec.mediawiki_ro in
-  let _cap, rates = rates_for ctx ~machine ~spec in
-  List.map
-    (fun kind ->
-      let capacity = capacity_of ctx ~machine ~spec ~kind ~cores in
-      let points = sweep ctx ~machine ~spec ~kind ~rates in
-      let p99_at_08 =
-        (point_at points 0.8).Sweep.p99 *. 1000.0
-      in
-      {
-        h_machine = machine.Machine.name;
-        h_spec = spec.Spec.name;
-        h_alloc = alloc_label kind;
-        h_capacity = capacity;
-        h_max_rps =
-          Option.value (Sweep.max_sustainable points) ~default:0.0;
-        h_p99_ms = p99_at_08;
-      })
-    Context.php_kinds

@@ -50,16 +50,3 @@ val capacity_of :
   float
 (** All-cores-busy service rate of one configuration, requests/second
     (see {!Mm_serve.Contention.capacity}). *)
-
-type headline = {
-  h_machine : string;
-  h_spec : string;
-  h_alloc : string;
-  h_capacity : float;  (** all-cores-busy service rate, requests/s *)
-  h_max_rps : float;  (** highest sustained offered rate (0 if none) *)
-  h_p99_ms : float;  (** p99 sojourn at 0.8× default capacity, ms *)
-}
-
-val headlines : Context.t -> headline list
-(** The bench artifact: Xeon, MediaWiki read-only, all three PHP
-    allocators (same memoized sweeps the render uses). *)

@@ -154,31 +154,3 @@ let render ctx =
         Printf.printf
           "  region never collapsed inside the grid at this scale.\n\n"))
     machines
-
-type headline = {
-  r_machine : string;
-  r_alloc : string;
-  r_collapse_frac : float;  (** 0.0 = no collapse inside the grid *)
-  r_amp_at_cap : float;
-}
-
-let headlines ctx =
-  let machine = Machine.xeon in
-  let cap = default_capacity ctx ~machine in
-  List.map
-    (fun kind ->
-      let points = sweep ctx ~machine ~kind in
-      let at_cap =
-        List.nth points
-          (match List.find_index (fun f -> f = 1.0) fractions with
-          | Some i -> i
-          | None -> assert false)
-      in
-      {
-        r_machine = machine.Machine.name;
-        r_alloc = alloc_label kind;
-        r_collapse_frac =
-          Option.value (collapse_fraction ~cap points) ~default:0.0;
-        r_amp_at_cap = at_cap.Sweep.amplification;
-      })
-    Context.php_kinds

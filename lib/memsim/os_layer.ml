@@ -1,7 +1,6 @@
 type region = {
   base : int;
   bytes : int;
-  large_pages : bool;
 }
 
 (* One interned cell per owner label: the hot per-malloc consumption read
@@ -27,8 +26,6 @@ let heap_base = 1 lsl 32
 
 let small_page = 4096
 
-let large_page = 2 * 1024 * 1024
-
 let create mem = { mem; next = heap_base; owners = Hashtbl.create 16 }
 
 let owner t ~name ~pid =
@@ -46,13 +43,13 @@ let charge_syscall t =
   Memory.with_context t.mem Access.Kernel (fun () ->
       Memory.instr t.mem syscall_instructions)
 
-let mmap t ~owner ~bytes ~align ~large_pages =
+let mmap t ~owner ~bytes ~align =
   assert (bytes > 0);
   assert (align > 0 && align land (align - 1) = 0);
   charge_syscall t;
   let base = round_up t.next align in
   t.next <- base + round_up bytes small_page;
-  owner.regions <- { base; bytes; large_pages } :: owner.regions;
+  owner.regions <- { base; bytes } :: owner.regions;
   owner.claimed <- owner.claimed + bytes;
   base
 
@@ -68,13 +65,6 @@ let munmap t ~owner ~addr ~bytes =
 let retire t owner =
   List.iter (fun r -> Memory.discard t.mem ~addr:r.base ~bytes:r.bytes) owner.regions;
   owner.regions <- []
-
-(* Ranges are disjoint, so at most one region covers [addr]. *)
-let page_size_of t ~addr =
-  let large r = r.large_pages && addr >= r.base && addr < r.base + r.bytes in
-  if Hashtbl.fold (fun _ o acc -> acc || List.exists large o.regions) t.owners false
-  then large_page
-  else small_page
 
 let claimed owner = owner.claimed
 

@@ -3,12 +3,12 @@
     Allocators obtain large chunks of address space here, as real allocators
     do with [mmap]/[sbrk].  The layer hands out disjoint, aligned ranges of
     the simulated address space (never reusing an address), records which
-    ranges are mapped with large pages and which owner mapped each range,
-    tracks per-owner claimed bytes (Figure 9's "memory allocated from the
-    underlying allocator"), and charges the instruction cost of the system
-    call to the [Kernel] context — the paper's Oprofile breakdowns exclude
-    kernel memory management from the "memory operations" bucket, and so
-    do we. *)
+    owner mapped each range, tracks per-owner claimed bytes (Figure 9's
+    "memory allocated from the underlying allocator"), and charges the
+    instruction cost of the system call to the [Kernel] context — the
+    paper's Oprofile breakdowns exclude kernel memory management from the
+    "memory operations" bucket, and so do we.  Page sizes are the TLB's
+    business ({!Mm_cachesim.Cache_system} takes [large_page_heap]). *)
 
 type t
 
@@ -22,8 +22,7 @@ val create : Memory.t -> t
 val owner : t -> name:string -> pid:int -> owner
 (** The owner labelled ["name[pid]"], created on first use. *)
 
-val mmap :
-  t -> owner:owner -> bytes:int -> align:int -> large_pages:bool -> int
+val mmap : t -> owner:owner -> bytes:int -> align:int -> int
 (** Claim [bytes] of address space aligned to [align] (a power of two).
     Returns the base address.  The space reads as zero until written. *)
 
@@ -37,10 +36,6 @@ val retire : t -> owner -> unit
     64 KB block inside them ({!Memory.discard}).  The ranges must not be
     touched again.  Claimed bytes, partial blocks and every simulated
     event are unchanged. *)
-
-val page_size_of : t -> addr:int -> int
-(** Page size governing [addr]: 2 MB for ranges mapped with large pages,
-    4 KB otherwise (including unmapped scratch such as simulated stacks). *)
 
 val claimed : owner -> int
 (** Current bytes mapped by the owner (mmap minus munmap). *)

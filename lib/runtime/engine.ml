@@ -211,11 +211,6 @@ let event_contexts =
     ("kernel", Mm_memsim.Access.Kernel);
   ]
 
-let string_of_reuse = function
-  | Core.Ddmalloc.Lifo -> "lifo"
-  | Core.Ddmalloc.Fifo -> "fifo"
-  | Core.Ddmalloc.Addr_ordered -> "addr"
-
 let measurement_to_string m =
   let b = Buffer.create 2048 in
   let line k v =
@@ -248,7 +243,7 @@ let measurement_to_string m =
                (Core.Size_class.class_sizes c.Core.Ddmalloc.scheme))));
     bl "kind.dd.pid_metadata_offset" c.Core.Ddmalloc.pid_metadata_offset;
     bl "kind.dd.large_pages" c.Core.Ddmalloc.large_pages;
-    line "kind.dd.reuse" (string_of_reuse c.Core.Ddmalloc.reuse)
+    line "kind.dd.reuse" (Core.Ddmalloc.reuse_name c.Core.Ddmalloc.reuse)
   | other -> line "kind" (Alloc_factory.kind_name other));
   line "spec" cfg.spec.Spec.name;
   fl "scale" cfg.scale;
@@ -363,11 +358,10 @@ let measurement_of_string s =
               (Array.of_list sizes)
           in
           let reuse =
-            match get "kind.dd.reuse" with
-            | "lifo" -> Core.Ddmalloc.Lifo
-            | "fifo" -> Core.Ddmalloc.Fifo
-            | "addr" -> Core.Ddmalloc.Addr_ordered
-            | r -> raise (Parse ("unknown reuse policy " ^ r))
+            let r = get "kind.dd.reuse" in
+            match Core.Ddmalloc.reuse_of_name r with
+            | Some reuse -> reuse
+            | None -> raise (Parse ("unknown reuse policy " ^ r))
           in
           Alloc_factory.Dd
             (Some

@@ -63,13 +63,13 @@ let create ~kind ~os ~mem ~spec ~pid ~seed ~use_bulk_free =
   let ws_base =
     Os.mmap os
       ~owner:(Os.owner os ~name:"app-ws" ~pid)
-      ~bytes:spec.Spec.app_ws_bytes ~align:4096 ~large_pages:false
+      ~bytes:spec.Spec.app_ws_bytes ~align:4096
   in
   let stream_bytes = 1024 * 1024 in
   let stream_base =
     Os.mmap os
       ~owner:(Os.owner os ~name:"app-stream" ~pid)
-      ~bytes:stream_bytes ~align:4096 ~large_pages:false
+      ~bytes:stream_bytes ~align:4096
   in
   {
     kind;

@@ -336,8 +336,8 @@ let own os name = Os.owner os ~name ~pid:0
 let test_os_mmap_alignment_and_disjoint () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:(own os "a") ~bytes:1000 ~align:4096 ~large_pages:false in
-  let b = Os.mmap os ~owner:(own os "b") ~bytes:32768 ~align:32768 ~large_pages:false in
+  let a = Os.mmap os ~owner:(own os "a") ~bytes:1000 ~align:4096 in
+  let b = Os.mmap os ~owner:(own os "b") ~bytes:32768 ~align:32768 in
   Alcotest.(check int) "a aligned" 0 (a mod 4096);
   Alcotest.(check int) "b aligned" 0 (b mod 32768);
   Alcotest.(check bool) "disjoint" true (b >= a + 1000 || a >= b + 32768)
@@ -345,8 +345,8 @@ let test_os_mmap_alignment_and_disjoint () =
 let test_os_claimed_accounting () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let a = Os.mmap os ~owner:(own os "x") ~bytes:5000 ~align:64 ~large_pages:false in
-  ignore (Os.mmap os ~owner:(own os "y") ~bytes:100 ~align:64 ~large_pages:false);
+  let a = Os.mmap os ~owner:(own os "x") ~bytes:5000 ~align:64 in
+  ignore (Os.mmap os ~owner:(own os "y") ~bytes:100 ~align:64);
   Alcotest.(check int) "claimed x" 5000 (Os.claimed_bytes os ~owner:"x[0]");
   Alcotest.(check int) "total" 5100 (Os.total_claimed os);
   Os.munmap os ~owner:(own os "x") ~addr:a ~bytes:5000;
@@ -358,8 +358,8 @@ let test_os_retire_keeps_shared_block () =
   let mem = Memory.create () in
   let os = Os.create mem in
   let dead = own os "dead" and live = own os "live" in
-  let d = Os.mmap os ~owner:dead ~bytes:((3 * blk) + 100) ~align:blk ~large_pages:false in
-  let l = Os.mmap os ~owner:live ~bytes:8192 ~align:64 ~large_pages:false in
+  let d = Os.mmap os ~owner:dead ~bytes:((3 * blk) + 100) ~align:blk in
+  let l = Os.mmap os ~owner:live ~bytes:8192 ~align:64 in
   Alcotest.(check int) "ranges share block 3" ((d lsr 16) + 3) (l lsr 16);
   Memory.memset mem ~addr:d ~bytes:((3 * blk) + 100) ~value:0xd;
   Memory.memset mem ~addr:l ~bytes:8192 ~value:0x1;
@@ -378,17 +378,6 @@ let test_os_retire_keeps_shared_block () =
   Alcotest.(check int) "a second retire drops nothing more" blk
     (Memory.backed_bytes mem)
 
-let test_os_page_size () =
-  let mem = Memory.create () in
-  let os = Os.create mem in
-  let small = Os.mmap os ~owner:(own os "s") ~bytes:8192 ~align:4096 ~large_pages:false in
-  let large = Os.mmap os ~owner:(own os "l") ~bytes:8192 ~align:4096 ~large_pages:true in
-  Alcotest.(check int) "small pages" 4096 (Os.page_size_of os ~addr:small);
-  Alcotest.(check int) "large pages" (2 * 1024 * 1024)
-    (Os.page_size_of os ~addr:(large + 100));
-  Alcotest.(check int) "unmapped defaults small" 4096
-    (Os.page_size_of os ~addr:77)
-
 let test_os_syscall_charged_to_kernel () =
   let mem = Memory.create () in
   let os = Os.create mem in
@@ -396,7 +385,7 @@ let test_os_syscall_charged_to_kernel () =
   Memory.set_instr_observer mem (fun ctx n ->
       if ctx = Access.Kernel then kernel_instr := !kernel_instr + n);
   Memory.set_context mem Access.Mgmt;
-  ignore (Os.mmap os ~owner:(own os "k") ~bytes:64 ~align:64 ~large_pages:false);
+  ignore (Os.mmap os ~owner:(own os "k") ~bytes:64 ~align:64);
   Alcotest.(check int) "syscall cost" Os.syscall_instructions !kernel_instr;
   Alcotest.(check bool) "context restored" true (Memory.context mem = Access.Mgmt)
 
@@ -511,7 +500,6 @@ let () =
           Alcotest.test_case "claimed accounting" `Quick test_os_claimed_accounting;
           Alcotest.test_case "retire keeps shared block" `Quick
             test_os_retire_keeps_shared_block;
-          Alcotest.test_case "page sizes" `Quick test_os_page_size;
           Alcotest.test_case "syscall to kernel" `Quick test_os_syscall_charged_to_kernel;
         ] );
       ("properties", qcheck_cases);

@@ -3,9 +3,11 @@
    Covers the storage contract (atomic publish, header validation,
    fingerprint invalidation, LRU gc), the measurement codec round-trip
    (property-based, including every Events counter and the full allocator
-   configuration space the ablations sweep), and the Context wiring
+   configuration space the ablations sweep), the Context wiring
    (memory hit → disk hit → simulate, seed in the identity, in-flight
-   dedup under a racing pool). *)
+   dedup under a racing pool, for measurements and blobs) and the store
+   key (a golden digest of every planned key, and keys equal exactly
+   when configs are). *)
 
 module Store = Mm_store.Store
 module Ctx = Mm_experiments.Context
@@ -612,6 +614,73 @@ let test_blob_layer () =
   Alcotest.(check string) "refresh recomputes" "Payload" (force refresh);
   Alcotest.(check int) "refresh computed" (computes_before + 1) !computes
 
+(* Two pool workers force the same blob while its compute is slow: the
+   in-flight rendezvous must run the compute once and hand both workers
+   the same payload. *)
+let test_blob_rendezvous () =
+  let ctx = mk_ctx () in
+  let computes = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    Unix.sleepf 0.2;
+    "Payload"
+  in
+  let force () =
+    Ctx.force_blob ctx ~kind:"serve" ~key:"blob-race" ~valid:(fun _ -> true)
+      ~compute
+  in
+  let results = Pool.run ~jobs:2 [ force; force ] in
+  Alcotest.(check (list string)) "both workers get the payload"
+    [ "Payload"; "Payload" ] results;
+  Alcotest.(check int) "exactly one compute" 1 (Atomic.get computes);
+  Alcotest.(check int) "ctx counted one" 1 (Ctx.blob_computed ctx)
+
+(* --- the store key ----------------------------------------------------- *)
+
+let planned ~scale ~seed =
+  Mm_experiments.Registry.plan_all (Ctx.create ~scale ~seed ())
+
+(* The md5 of every distinct store key the registry plans at scale 0.05,
+   seed 42, sorted and newline-joined.  Store entries are addressed by
+   these strings, so a change here orphans every stored measurement: it
+   must ride a fingerprint bump. *)
+let test_store_key_golden () =
+  let keys =
+    List.sort_uniq compare
+      (List.map Ctx.store_key (planned ~scale:0.05 ~seed:42))
+  in
+  Alcotest.(check int) "distinct planned keys" 143 (List.length keys);
+  Alcotest.(check string) "store-key digest" "7297181e2d52d8c2ed2c5f8cc2d2c79e"
+    (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+
+(* The key names a configuration exactly: two planned keys have equal
+   strings if and only if their configs are structurally equal.  The
+   config fields the string leaves out must be determined by the ones it
+   has. *)
+let test_store_key_equivalence () =
+  List.iter
+    (fun (scale, seed) ->
+      let by_name = Hashtbl.create 256 in
+      List.iter
+        (fun k ->
+          let name = Ctx.store_key k in
+          match Hashtbl.find_opt by_name name with
+          | Some cfg ->
+            if cfg <> Ctx.config k then
+              Alcotest.failf "one key, two configs: %s" name
+          | None -> Hashtbl.add by_name name (Ctx.config k))
+        (planned ~scale ~seed);
+      let distinct = List.of_seq (Hashtbl.to_seq by_name) in
+      List.iteri
+        (fun i (a, ca) ->
+          List.iteri
+            (fun j (b, cb) ->
+              if i < j && ca = cb then
+                Alcotest.failf "one config, two keys: %s and %s" a b)
+            distinct)
+        distinct)
+    [ (0.05, 42); (0.01, 7919); (0.25, 42) ]
+
 let test_version_fingerprint_shape () =
   Alcotest.(check bool) "fingerprint mentions every component" true
     (let fp = Version.sim_fingerprint in
@@ -664,6 +733,11 @@ let () =
           Alcotest.test_case "racing workers simulate once" `Quick
             test_racing_workers_simulate_once;
           Alcotest.test_case "blob layer" `Quick test_blob_layer;
+          Alcotest.test_case "blob rendezvous computes once" `Quick
+            test_blob_rendezvous;
+          Alcotest.test_case "store-key golden" `Quick test_store_key_golden;
+          Alcotest.test_case "store key iff config" `Quick
+            test_store_key_equivalence;
           Alcotest.test_case "fingerprint shape" `Quick
             test_version_fingerprint_shape;
         ] );
