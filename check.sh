@@ -3,10 +3,11 @@
 # plan/execute/render pipeline must print byte-identical output whether
 # the execute stage runs on 1 domain or 4, and that output must match the
 # committed golden digest — a cold/warm store equivalence
-# gate, a Ruby store gate (fig10-12's store entries matching their
-# committed digest), a serving-simulator gate (deterministic across -j, warm rerun
-# fully store-served, a policy-heavy run matching its committed golden
-# digest), a fault-injection gate (injected faults must not
+# gate, Ruby and PHP store gates (fig10-12's and fig5/fig7/tab4's store
+# entries matching their committed digests), a serving-simulator gate
+# (deterministic across -j, warm rerun fully store-served, a
+# policy-heavy run matching its committed golden digest), a
+# fault-injection gate (injected faults must not
 # change a single output byte, the chaos drills must pass, and the store
 # suite must pass with injection armed), and a
 # perf smoke that times one small experiment so hot-path regressions show
@@ -112,6 +113,29 @@ if [ "$rmd5" != "$(sed -n 's/^md5 //p' "$rgolden")" ]; then
   exit 1
 fi
 echo "md5 $rmd5 matches $rgolden."
+
+echo "== php store golden: fig5, fig7, tab4 into one store must match the committed md5 =="
+# fig5 runs first, so fig7's and tab4's core-count groups find some of
+# their members already on disk: the entries a group writes must be the
+# ones separate simulations would, whatever part of the group is warm.
+pgolden=test/golden/store_php_scale0.01.md5
+phpdir=$(mktemp -d)
+trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr"; rm -rf "$cachedir" "$phpdir"' EXIT
+for exp in fig5 fig7 tab4; do
+  MMSTUDY_CACHE_DIR="$phpdir" $TO $MMSTUDY run $exp --scale 0.01 -j 2 > /dev/null 2>&1
+done
+pmd5=$( (cd "$phpdir" && for f in $(ls | grep '\.meas$' | LC_ALL=C sort); do
+  printf '%s\n' "$f"; cat "$f"; done) | md5sum | cut -d' ' -f1)
+rm -rf "$phpdir"
+if [ "$(sed -n 's/^fingerprint //p' "$pgolden")" != "$fingerprint" ]; then
+  echo "FAIL: simulator fingerprint $fingerprint, $pgolden records another" >&2
+  exit 1
+fi
+if [ "$pmd5" != "$(sed -n 's/^md5 //p' "$pgolden")" ]; then
+  echo "FAIL: php store md5 $pmd5 differs from $pgolden" >&2
+  exit 1
+fi
+echo "md5 $pmd5 matches $pgolden."
 
 echo "== serve smoke: deterministic across -j, memoized through the store =="
 # A short serving sweep on a fresh store: deterministic at any job count,

@@ -25,7 +25,7 @@ let run_pattern machine label pattern =
   CS.attach cs mem;
   Memory.set_context mem Mm_memsim.Access.App;
   pattern mem;
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   let g c = float_of_int (Ev.total ev c) /. float_of_int touches in
   [
     label;

@@ -5,7 +5,6 @@ type params = {
   block_size : int;
   use_unsorted : bool;
   owner : string;
-  large_pages : bool;
 }
 
 (* Chunk layout (dlmalloc-style).  A chunk starts with an 8-byte header

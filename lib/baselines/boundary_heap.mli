@@ -20,7 +20,6 @@ type params = {
       (** glibc-style deferred binning: frees land in an unsorted bin that
           malloc sifts through before searching sized bins *)
   owner : string;  (** OS-layer accounting name *)
-  large_pages : bool;
 }
 
 type t

@@ -1,10 +1,9 @@
 type config = {
   block_size : int;
-  large_pages : bool;
-}
+} [@@unboxed]
 
-let config ?(block_size = 1024 * 1024) ?(large_pages = false) () =
-  { block_size; large_pages }
+let config ?(block_size = 1024 * 1024) () =
+  { block_size }
 
 let default_config = config ()
 
@@ -27,7 +26,6 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
       Boundary_heap.block_size = config.block_size;
       use_unsorted = true;
       owner = name;
-      large_pages = config.large_pages;
     }
     ~os ~mem ~pid ~code_base
 

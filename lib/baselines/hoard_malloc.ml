@@ -3,13 +3,12 @@ module Os = Mm_memsim.Os_layer
 
 type config = {
   superblock_size : int;
-  large_pages : bool;
-}
+} [@@unboxed]
 
-let config ?(superblock_size = 8192) ?(large_pages = false) () =
+let config ?(superblock_size = 8192) () =
   assert (superblock_size >= 1024);
   assert (superblock_size land (superblock_size - 1) = 0);
-  { superblock_size; large_pages }
+  { superblock_size }
 
 let default_config = config ()
 

@@ -11,10 +11,9 @@
 
 type config = {
   superblock_size : int;  (** 8 KB in Hoard *)
-  large_pages : bool;
-}
+} [@@unboxed]
 
-val config : ?superblock_size:int -> ?large_pages:bool -> unit -> config
+val config : ?superblock_size:int -> unit -> config
 
 include Core.Allocator.S with type config := config
 

@@ -11,10 +11,9 @@
 
 type config = {
   chunk_size : int;  (** obstack default: 4 KB *)
-  large_pages : bool;
-}
+} [@@unboxed]
 
-val config : ?chunk_size:int -> ?large_pages:bool -> unit -> config
+val config : ?chunk_size:int -> unit -> config
 
 include Core.Allocator.S with type config := config
 

@@ -9,9 +9,8 @@
 
 type config = {
   block_size : int;
-  large_pages : bool;
-}
+} [@@unboxed]
 
-val config : ?block_size:int -> ?large_pages:bool -> unit -> config
+val config : ?block_size:int -> unit -> config
 
 include Core.Allocator.S with type config := config

@@ -3,12 +3,11 @@ module Os = Mm_memsim.Os_layer
 
 type config = {
   chunk_size : int;
-  large_pages : bool;
-}
+} [@@unboxed]
 
-let config ?(chunk_size = 256 * 1024 * 1024) ?(large_pages = false) () =
+let config ?(chunk_size = 256 * 1024 * 1024) () =
   assert (chunk_size >= 64 * 1024);
-  { chunk_size; large_pages }
+  { chunk_size }
 
 let default_config = config ()
 

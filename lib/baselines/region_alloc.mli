@@ -18,10 +18,9 @@
 
 type config = {
   chunk_size : int;  (** paper: 256 MB *)
-  large_pages : bool;
-}
+} [@@unboxed]
 
-val config : ?chunk_size:int -> ?large_pages:bool -> unit -> config
+val config : ?chunk_size:int -> unit -> config
 
 include Core.Allocator.S with type config := config
 

@@ -5,14 +5,12 @@ type config = {
   span_size : int;
   batch : int;
   cache_cap : int;
-  large_pages : bool;
 }
 
-let config ?(span_size = 64 * 1024) ?(batch = 16) ?(cache_cap = 256)
-    ?(large_pages = false) () =
+let config ?(span_size = 64 * 1024) ?(batch = 16) ?(cache_cap = 256) () =
   assert (span_size >= 4096 && span_size land (span_size - 1) = 0);
   assert (batch > 0 && cache_cap >= 2 * batch);
-  { span_size; batch; cache_cap; large_pages }
+  { span_size; batch; cache_cap }
 
 let default_config = config ()
 

@@ -17,12 +17,9 @@ type config = {
   span_size : int;  (** 64 KB *)
   batch : int;  (** objects moved per central↔cache transfer (paper-era: 16) *)
   cache_cap : int;  (** max objects per cache list before scavenging (256) *)
-  large_pages : bool;
 }
 
-val config :
-  ?span_size:int -> ?batch:int -> ?cache_cap:int -> ?large_pages:bool ->
-  unit -> config
+val config : ?span_size:int -> ?batch:int -> ?cache_cap:int -> unit -> config
 
 include Core.Allocator.S with type config := config
 

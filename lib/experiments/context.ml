@@ -7,11 +7,16 @@ module Pool = Mm_sched.Pool
 module Store = Mm_store.Store
 module Fault = Mm_fault.Fault
 
-(* A planned configuration.  [name] is {!store_key_of_config} of [cfg],
+(* A planned configuration.  [name] is {!make_key}'s rendering of [cfg],
    rendered once: it is the memo identity, the in-flight identity and the
    store key. *)
 type key = {
   name : string;
+  stream : string;
+      (* [name] without the core count, plus the process count: two
+         planned keys have equal [stream]s exactly when their configs
+         share a stream (Engine.shares_stream), since [name] determines
+         the config. *)
   cfg : Engine.config;
   base : key option;
       (* [Some b]: a configuration that provably behaves like [b]; its
@@ -22,7 +27,9 @@ type key = {
    [cond] (under [t.lock]) instead of recomputing. *)
 type 'a cell = {
   cond : Condition.t;
-  mutable state : [ `Pending | `Done of 'a | `Failed of exn ];
+  mutable state : [ `Pending | `Done of 'a | `Failed of exn | `Released ];
+      (* [`Released]: claimed with another key that turned out to need
+         no computation; a waiter starts its own request over. *)
 }
 
 (* One memo layer: finished values, in-flight cells and the counters of
@@ -30,6 +37,9 @@ type 'a cell = {
 type 'a memo = {
   table : (string, 'a) Hashtbl.t;
   inflight : (string, 'a cell) Hashtbl.t;
+  unwritten : (string, unit) Hashtbl.t;
+      (* computed for another key's request and not yet written behind:
+         the first request for the key itself writes it *)
   mutable computed : int;
   mutable disk_hits : int;
 }
@@ -39,14 +49,16 @@ type t = {
   seed : int;
   store : Store.t option;  (* read-through / write-behind disk layer *)
   refresh : bool;  (* skip store reads (still write) — force recompute *)
-  lock : Mutex.t;  (* guards both memos *)
+  lock : Mutex.t;  (* guards both memos and [planned] *)
   measurements : Engine.measurement memo;
   blobs : string memo;  (* derived payloads (serve sweeps), by key *)
+  planned : (string, key list) Hashtbl.t;
+      (* simulated keys built on this context, by [stream] *)
 }
 
 let memo () =
-  { table = Hashtbl.create 64; inflight = Hashtbl.create 8; computed = 0;
-    disk_hits = 0 }
+  { table = Hashtbl.create 64; inflight = Hashtbl.create 8;
+    unwritten = Hashtbl.create 8; computed = 0; disk_hits = 0 }
 
 let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
   assert (scale > 0.0 && scale <= 1.0);
@@ -58,6 +70,7 @@ let create ?(scale = 0.25) ?(seed = 42) ?store ?(refresh = false) () =
     lock = Mutex.create ();
     measurements = memo ();
     blobs = memo ();
+    planned = Hashtbl.create 64;
   }
 
 let scale t = t.scale
@@ -100,17 +113,18 @@ let kind_key = function
   | other -> Factory.kind_name other
 
 (* The canonical string the persistent store digests, a pure function of
-   the config.  The scale is printed with %h so two scales that differ in
+   the config, split around the core count: [machine=...;cores=N;] and
+   the rest.  The scale is printed with %h so two scales that differ in
    any bit get distinct keys.  The fields it leaves out are determined by
    the ones it has (DESIGN.md §9): a PHP key's transaction counts follow
    from machine and cores, so it prints [measure=0]; a Ruby key
    ([use_bulk_free] off) fixes its processes and derives its warm-up from
    [measure]. *)
-let store_key_of_config (c : Engine.config) =
+let rest_of_config (c : Engine.config) =
   let ruby = not c.Engine.use_bulk_free in
   Printf.sprintf
-    "machine=%s;cores=%d;kind=%s%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
-    c.Engine.machine.Machine.name c.Engine.active_cores (kind_key c.Engine.kind)
+    "kind=%s%s;spec=%s;restart=%s;large_pages=%b;ruby=%b;measure=%d;scale=%h;seed=%d"
+    (kind_key c.Engine.kind)
     (if c.Engine.large_page_heap then "+lp" else "")
     c.Engine.spec.Spec.name
     (match c.Engine.restart_period with
@@ -120,7 +134,32 @@ let store_key_of_config (c : Engine.config) =
     (if ruby then c.Engine.measure_txns else 0)
     c.Engine.scale c.Engine.seed
 
-let make_key ?base cfg = { name = store_key_of_config cfg; cfg; base }
+let make_key ?base (cfg : Engine.config) =
+  let machine = "machine=" ^ cfg.Engine.machine.Machine.name ^ ";" in
+  let rest = rest_of_config cfg in
+  {
+    name =
+      String.concat ""
+        [ machine; "cores="; string_of_int cfg.Engine.active_cores; ";"; rest ];
+    stream =
+      String.concat ""
+        [ machine; rest; ";procs="; string_of_int (Engine.effective_processes cfg) ];
+    cfg;
+    base;
+  }
+
+(* Planning a key declares that the caller will force it, which lets the
+   first force of any key of a stream group simulate the group's other
+   planned members in the same pass. *)
+let plan t k =
+  if Option.is_none k.base then begin
+    Mutex.lock t.lock;
+    let ks = Option.value (Hashtbl.find_opt t.planned k.stream) ~default:[] in
+    if not (List.exists (fun k' -> String.equal k'.name k.name) ks) then
+      Hashtbl.replace t.planned k.stream (ks @ [ k ]);
+    Mutex.unlock t.lock
+  end;
+  k
 
 let key_name k = k.name
 
@@ -153,84 +192,160 @@ let write_store s ?kind ~key data =
   try Store.store s ?kind ~key ~data ()
   with Sys_error _ | Unix.Unix_error _ | Fault.Injected _ -> ()
 
-let result = function
-  | `Done v -> v
-  | `Failed e -> raise e
-  | `Pending -> assert false
 
 (* The one memo path, for measurements and blobs alike: return the value
    under [key], computing it at most once per process.  Lookup order is
    memory hit → disk hit ([decode] of the stored payload; [None], like
    any store failure, is a miss) → [compute] with write-behind of
-   [encode]d bytes.  Concurrent requests for one key rendezvous on an
-   in-flight cell that covers the disk read too, so racing requesters
-   cost one file read or one computation; distinct keys proceed
-   concurrently without holding [t.lock] (safe because each Engine.run
-   builds its own Memory, Cache_system and RNGs — see
-   lib/runtime/engine.mli).  A fresh value counts as computed only when
-   [counted]. *)
-let memoize t memo ?kind ~key ~decode ~encode ~counted compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt memo.table key with
-  | Some v ->
+   [encode]d bytes.
+
+   On a miss, [key] and the items of [others ()] — further items the same
+   computation produces (called under the lock) — that are neither
+   memoised nor in flight are claimed together, so a concurrent request
+   for any of them waits for this one.  If [key] is on disk, the others
+   are released untouched.  Otherwise each other is looked up on disk
+   and one [compute] call gets [key] and the items that missed, in claim
+   order, and returns their values in that order.  A request writes
+   behind only the entry it returns: another computed item is written by
+   the first request for it, so each fsync'd write lands in its own
+   item's request.  An exception fails every cell the computation owed.
+   Distinct items proceed concurrently without holding [t.lock] (safe
+   because each simulation builds its own Memory, Cache_system and RNGs —
+   see lib/runtime/engine.mli).  A fresh value counts as computed only
+   when [counted]. *)
+let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
+    ~counted ~compute key =
+  let write n v =
+    (* Serialise only when there is a store to write to. *)
+    Option.iter (fun s -> write_store s ?kind ~key:n (encode v)) t.store
+  in
+  (* Under the lock: the value of a finished item, with its deferred
+     write taken by this request. *)
+  let finished n v =
+    let deferred =
+      Hashtbl.length memo.unwritten > 0 && Hashtbl.mem memo.unwritten n
+    in
+    if deferred then Hashtbl.remove memo.unwritten n;
     Mutex.unlock t.lock;
+    if deferred then write n v;
     v
+  in
+  let read n =
+    match t.store with
+    | Some s when not t.refresh -> Option.bind (Store.find s ~key:n) decode
+    | Some _ | None -> None
+  in
+  let n = name key in
+  Mutex.lock t.lock;
+  match Hashtbl.find_opt memo.table n with
+  | Some v -> finished n v
   | None -> (
-    match Hashtbl.find_opt memo.inflight key with
-    | Some cell ->
+    match Hashtbl.find_opt memo.inflight n with
+    | Some cell -> (
       while cell.state = `Pending do
         Condition.wait cell.cond t.lock
       done;
-      Mutex.unlock t.lock;
-      result cell.state
+      match cell.state with
+      | `Done v -> finished n v
+      | `Failed e ->
+        Mutex.unlock t.lock;
+        raise e
+      | `Released | `Pending ->
+        Mutex.unlock t.lock;
+        memoize t memo ?kind ~others ~name ~decode ~encode ~counted ~compute key)
     | None ->
-      let cell = { cond = Condition.create (); state = `Pending } in
-      Hashtbl.add memo.inflight key cell;
-      Mutex.unlock t.lock;
-      let from_disk =
-        match t.store with
-        | Some s when not t.refresh -> Option.bind (Store.find s ~key) decode
-        | Some _ | None -> None
+      let claim k =
+        let cell = { cond = Condition.create (); state = `Pending } in
+        Hashtbl.add memo.inflight (name k) cell;
+        (k, cell)
       in
-      let state =
-        match from_disk with
-        | Some v -> `Done v
+      let unresolved k =
+        let n = name k in
+        not (Hashtbl.mem memo.table n || Hashtbl.mem memo.inflight n)
+      in
+      let mine = claim key in
+      let siblings = List.map claim (List.filter unresolved (others ())) in
+      Mutex.unlock t.lock;
+      (* Publish each claimed item's outcome: its new state and whether
+         its value came from disk. *)
+      let settle_all outcomes =
+        Mutex.lock t.lock;
+        List.iter
+          (fun ((k, cell), state, from_disk) ->
+            let n' = name k in
+            Hashtbl.remove memo.inflight n';
+            (match state with
+            | `Done v ->
+              Hashtbl.add memo.table n' v;
+              if from_disk then memo.disk_hits <- memo.disk_hits + 1
+              else begin
+                if counted then memo.computed <- memo.computed + 1;
+                if n' <> n && Option.is_some t.store then
+                  Hashtbl.replace memo.unwritten n' ()
+              end
+            | `Failed _ | `Released | `Pending -> ());
+            cell.state <- state;
+            Condition.broadcast cell.cond)
+          outcomes;
+        Mutex.unlock t.lock
+      in
+      let outcomes =
+        match read n with
+        | Some v ->
+          (mine, `Done v, true)
+          :: List.map (fun c -> (c, `Released, false)) siblings
         | None -> (
-          match compute () with
-          | v ->
-            (* Serialise only when there is a store to write to. *)
-            Option.iter (fun s -> write_store s ?kind ~key (encode v)) t.store;
-            `Done v
-          | exception e -> `Failed e)
+          let on_disk, missing =
+            List.partition_map
+              (fun c ->
+                match read (name (fst c)) with
+                | Some v -> Either.Left (c, `Done v, true)
+                | None -> Either.Right c)
+              siblings
+          in
+          let missing = mine :: missing in
+          match compute (List.map fst missing) with
+          | vs ->
+            let v = List.hd vs in
+            write n v;
+            on_disk @ List.map2 (fun c v -> (c, `Done v, false)) missing vs
+          | exception e ->
+            on_disk @ List.map (fun c -> (c, `Failed e, false)) missing)
       in
-      Mutex.lock t.lock;
-      Hashtbl.remove memo.inflight key;
-      (match state with
-      | `Done v ->
-        Hashtbl.add memo.table key v;
-        if Option.is_some from_disk then memo.disk_hits <- memo.disk_hits + 1
-        else if counted then memo.computed <- memo.computed + 1
-      | `Failed _ -> ());
-      cell.state <- state;
-      Condition.broadcast cell.cond;
-      Mutex.unlock t.lock;
-      result state)
+      settle_all outcomes;
+      match (snd mine).state with
+      | `Done v -> v
+      | `Failed e -> raise e
+      | `Released | `Pending -> assert false)
 
+(* A simulated key claims its planned stream siblings: one
+   [Engine.run_group] then produces every member that missed disk. *)
 let rec force t key =
-  memoize t t.measurements ~key:key.name
-    ~decode:(fun p -> Result.to_option (Engine.measurement_of_string p))
-    ~encode:Engine.measurement_to_string ~counted:(Option.is_none key.base)
-    (fun () ->
-      match key.base with
-      | None -> Engine.run key.cfg
-      | Some base -> { (force t base) with Engine.cfg = key.cfg })
+  let name k = k.name in
+  let decode p = Result.to_option (Engine.measurement_of_string p) in
+  let encode = Engine.measurement_to_string in
+  match key.base with
+  | Some base ->
+    memoize t t.measurements ~name ~decode ~encode ~counted:false
+      ~compute:(fun _ -> [ { (force t base) with Engine.cfg = key.cfg } ])
+      key
+  | None ->
+    (* [key] itself is already claimed when [memoize] filters these. *)
+    let others () =
+      Option.value (Hashtbl.find_opt t.planned key.stream) ~default:[]
+    in
+    memoize t t.measurements ~others ~name ~decode ~encode ~counted:true
+      ~compute:(fun ks -> Engine.run_group (List.map (fun k -> k.cfg) ks))
+      key
 
 (* Blobs self-heal exactly like measurements: a stored payload the
    caller's codec rejects is a miss. *)
 let force_blob t ~kind ~key ~valid ~compute =
-  memoize t t.blobs ~kind ~key
+  memoize t t.blobs ~kind ~name:Fun.id
     ~decode:(fun p -> if valid p then Some p else None)
-    ~encode:Fun.id ~counted:true compute
+    ~encode:Fun.id ~counted:true
+    ~compute:(fun _ -> [ compute () ])
+    key
 
 let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
     () =
@@ -239,13 +354,14 @@ let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
     | Factory.Dd None -> dd_kind_for machine
     | other -> other
   in
-  make_key
-    (Engine.config ~machine ~active_cores:cores ~kind ~spec
-       ~scale:(Option.value scale_override ~default:t.scale)
-       ~large_page_heap:
-         (Option.value large_pages_override
-            ~default:(heap_large_pages machine))
-       ~seed:t.seed ())
+  plan t
+    (make_key
+       (Engine.config ~machine ~active_cores:cores ~kind ~spec
+          ~scale:(Option.value scale_override ~default:t.scale)
+          ~large_page_heap:
+            (Option.value large_pages_override
+               ~default:(heap_large_pages machine))
+          ~seed:t.seed ()))
 
 (* A restart period no worker reaches is computed from the no-restart
    key's memo entry (fig12's period 250): one simulation fewer, the same
@@ -260,7 +376,7 @@ let rec ruby_key t ~kind ~restart_period ~measure_txns =
   match Engine.effective_restart_period cfg with
   | None when restart_period <> None ->
     make_key ~base:(ruby_key t ~kind ~restart_period:None ~measure_txns) cfg
-  | Some _ | None -> make_key cfg
+  | Some _ | None -> plan t (make_key cfg)
 
 let run_php t ~machine ~cores ~kind ~spec ?large_pages_override () =
   force t (php_key t ~machine ~cores ~kind ~spec ?large_pages_override ())
@@ -288,8 +404,27 @@ let prefetch t ~jobs keys =
       keys
   in
   Mutex.unlock t.lock;
+  (* One task per simulation: a key, its stream siblings and the keys
+     relabelled from any of them, so no domain blocks on a cell another
+     task's simulation owes. *)
+  let tasks = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun k ->
+      let stream = (Option.value k.base ~default:k).stream in
+      match Hashtbl.find_opt tasks stream with
+      | Some ks -> ks := k :: !ks
+      | None ->
+        let ks = ref [ k ] in
+        Hashtbl.add tasks stream ks;
+        order := ks :: !order)
+    fresh;
   ignore
-    (Pool.run ~jobs (List.map (fun k () -> ignore (force t k)) fresh) : unit list)
+    (Pool.run ~jobs
+       (List.rev_map
+          (fun ks () -> List.iter (fun k -> ignore (force t k)) (List.rev !ks))
+          !order)
+      : unit list)
 
 let mgmt_fraction (m : Engine.measurement) =
   let p = m.Engine.perf in

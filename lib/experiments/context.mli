@@ -25,7 +25,22 @@
     [Mm_runtime.Version.sim_fingerprint], and decoded measurements are
     bit-exact ([%h] float round-trip), so warm output is byte-identical
     to cold output.  Derived blobs ({!force_blob}) go through the same
-    memo path, in-flight rendezvous included. *)
+    memo path, in-flight rendezvous included.
+
+    {b Stream groups.}  Building a key with {!php_key} or {!ruby_key}
+    {e plans} it: it declares that the caller will force it.  Planned
+    keys whose configurations differ only in core count and simulate the
+    same number of processes ({!Mm_runtime.Engine.shares_stream}) form a
+    stream group.  The first {!force} of any of them claims the group's
+    other planned members that are neither memoized nor in flight, then
+    reads the key from the store: on a hit the others are released
+    untouched; on a miss each of them is read too, and the key and those
+    that missed are simulated in one {!Mm_runtime.Engine.run_group}.
+    Every member is published and counted as if forced on its own, with
+    the same bytes; its store entry is written by the first force of
+    that member, so each force pays for the one fsync'd write of the
+    entry it returns.  A configuration nobody planned is never
+    simulated. *)
 
 type t
 
@@ -59,8 +74,9 @@ val dd_kind_for : Mm_cachesim.Machine.t -> Mm_runtime.Alloc_factory.kind
 
 type key
 (** One fully-specified simulation configuration: the memoization
-    identity plus how to run it.  Keys are cheap to build and pure —
-    nothing is simulated until {!force} or {!prefetch}. *)
+    identity plus how to run it.  Keys are cheap to build; building one
+    plans it on its context (see {e Stream groups} above), and nothing is
+    simulated until {!force} or {!prefetch}. *)
 
 val store_key : key -> string
 (** The canonical configuration string the persistent store digests,
@@ -111,21 +127,30 @@ val ruby_key :
 
 val force : t -> key -> Mm_runtime.Engine.measurement
 (** Memoized execution of one key.  Thread-safe; concurrent forces of the
-    same key run the simulation exactly once and share the result. *)
+    same key run the simulation exactly once and share the result.  A
+    miss claims the key together with its unresolved planned stream
+    siblings (see above), so two domains forcing two siblings at once
+    still simulate the group once: the later one waits on the cell the
+    first claimed.  An exception fails every claimed cell — waiters see
+    it, and a later force tries again. *)
 
 val prefetch : t -> jobs:int -> key list -> unit
 (** Execute every not-yet-memoized key on a pool of [jobs] domains.
-    Duplicate keys in the list are collapsed first.  Results land in the
-    memo table; measurements are identical to sequential {!force} because
-    every simulation is hermetic (own simulated memory, caches and RNG —
-    the isolation invariant documented in [lib/runtime/engine.mli]).
-    Exceptions from simulations are re-raised after the pool drains. *)
+    Duplicate keys in the list are collapsed first, and the keys one
+    simulation produces — a stream group, with the keys relabelled from
+    its members — go to one pool task, so no domain waits on a cell
+    another task owes.  Results land in the memo table; measurements are
+    identical to sequential {!force} because every simulation is hermetic
+    (own simulated memory, caches and RNG — the isolation invariant
+    documented in [lib/runtime/engine.mli]).  Exceptions from simulations
+    are re-raised after the pool drains. *)
 
 val simulated : t -> int
-(** Number of simulations actually executed so far (misses of both the
-    memo table and the store), for dedup accounting, the CLI's execution
-    summary, and tests.  A key relabelled from another key's measurement
-    (see {!ruby_key}) counts as neither a simulation nor a disk hit. *)
+(** Number of configurations actually simulated so far (misses of both
+    the memo table and the store; each member of a stream group counts
+    once), for dedup accounting, the CLI's execution summary, and tests.
+    A key relabelled from another key's measurement (see {!ruby_key})
+    counts as neither a simulation nor a disk hit. *)
 
 val disk_hits : t -> int
 (** Number of measurements served from the persistent store instead of

@@ -7,8 +7,9 @@
     simulator is that observer; the profiler attributes the resulting hits,
     misses, and stall cycles to the access's {!context}.
 
-    The boxed {!t} record survives as a convenience for tests and ad-hoc
-    tracing via {!Memory.set_boxed_access_observer}. *)
+    The {!t} record names the quadruple for code that wants to keep
+    events, such as tests and ad-hoc tracing: an observer builds it
+    itself, off the measured path. *)
 
 type context =
   | Mgmt  (** inside malloc/free/realloc/freeAll — the allocator itself *)

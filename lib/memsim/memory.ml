@@ -71,10 +71,6 @@ let with_context t ctx f =
 
 let set_access_observer t f = t.on_access <- f
 
-let set_boxed_access_observer t f =
-  t.on_access <-
-    (fun context kind addr bytes -> f { Access.context; kind; addr; bytes })
-
 let set_instr_observer t f = t.on_instr <- f
 
 let set_code_observer t f = t.on_code <- f

@@ -59,11 +59,6 @@ val with_context : t -> Access.context -> (unit -> 'a) -> 'a
 
 val set_access_observer : t -> observer -> unit
 
-val set_boxed_access_observer : t -> (Access.t -> unit) -> unit
-(** Compatibility shim for tests and ad-hoc tracing: wraps the callback in
-    an adapter that materializes an {!Access.t} record per event (one
-    allocation per access — never use on a measured path). *)
-
 val set_instr_observer : t -> (Access.context -> int -> unit) -> unit
 
 val set_code_observer : t -> (Access.context -> int -> unit) -> unit

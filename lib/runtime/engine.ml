@@ -93,13 +93,28 @@ let reset_handle_stats (h : Core.Allocator.handle) =
   s.Core.Allocator.bytes_requested <- 0;
   h.Core.Allocator.h_reset_peak ()
 
-let run cfg =
+(* Every field but [active_cores] equal, and the same process count: the
+   core count then changes only the L2 share, so the stream of references
+   the generator and the allocators produce is the same. *)
+let shares_stream a b =
+  effective_processes a = effective_processes b
+  && { a with active_cores = b.active_cores } = b
+
+let run_group cfgs =
+  let cfg =
+    match cfgs with
+    | [] -> invalid_arg "Engine.run_group: no configuration"
+    | cfg :: _ -> cfg
+  in
+  if not (List.for_all (shares_stream cfg) cfgs) then
+    invalid_arg "Engine.run_group: configurations do not share a stream";
   assert (cfg.scale > 0.0 && cfg.scale <= 1.0);
   let spec = Spec.scaled cfg.spec ~scale:cfg.scale in
   let mem = Memory.create () in
   let os = Os.create mem in
   let cs =
-    Cache_system.create ~machine:cfg.machine ~active_cores:cfg.active_cores
+    Cache_system.create_group ~machine:cfg.machine
+      ~active_cores:(List.map (fun c -> c.active_cores) cfgs)
       ~large_page_heap:cfg.large_page_heap
   in
   Cache_system.attach cs mem;
@@ -152,41 +167,56 @@ let run cfg =
   let warmup_txns_done = !total_done in
   run_until (warmup_txns_done + cfg.measure_txns);
   let txns = !total_done - warmup_txns_done in
-  let events = Events.copy (Cache_system.events cs) in
-  let perf =
-    Perf_model.solve ~machine:cfg.machine ~active_cores:cfg.active_cores
-      ~events ~txns
-  in
-  let consumption = Mm_stats.Summary.create () in
   let sum_stat f =
     Array.fold_left
       (fun acc p -> acc + f (Process.handle p).Core.Allocator.h_stats)
       0 procs
   in
-  Array.iter
-    (fun p ->
-      let peaks = Process.consumption_peaks p in
-      if Mm_stats.Summary.count peaks > 0 then
-        Mm_stats.Summary.add consumption (Mm_stats.Summary.mean peaks))
-    procs;
+  let consumption () =
+    let s = Mm_stats.Summary.create () in
+    Array.iter
+      (fun p ->
+        let peaks = Process.consumption_peaks p in
+        if Mm_stats.Summary.count peaks > 0 then
+          Mm_stats.Summary.add s (Mm_stats.Summary.mean peaks))
+      procs;
+    s
+  in
   let ftxns = float_of_int txns in
   let mallocs = sum_stat (fun s -> s.Core.Allocator.mallocs) in
   let bytes = sum_stat (fun s -> s.Core.Allocator.bytes_requested) in
-  {
-    cfg;
-    events;
-    txns;
-    perf;
-    (* The simulated transaction is [scale] of a real one. *)
-    throughput = perf.Perf_model.throughput *. cfg.scale;
-    consumption;
-    mallocs_per_txn = float_of_int mallocs /. ftxns;
-    frees_per_txn = float_of_int (sum_stat (fun s -> s.Core.Allocator.frees)) /. ftxns;
-    reallocs_per_txn =
-      float_of_int (sum_stat (fun s -> s.Core.Allocator.reallocs)) /. ftxns;
-    mean_alloc_size =
-      (if mallocs = 0 then 0.0 else float_of_int bytes /. float_of_int mallocs);
-  }
+  (* Only the events and what the performance model makes of them differ
+     between members. *)
+  List.mapi
+    (fun i cfg ->
+      let events = Cache_system.events cs i in
+      let perf =
+        Perf_model.solve ~machine:cfg.machine ~active_cores:cfg.active_cores
+          ~events ~txns
+      in
+      {
+        cfg;
+        events;
+        txns;
+        perf;
+        (* The simulated transaction is [scale] of a real one. *)
+        throughput = perf.Perf_model.throughput *. cfg.scale;
+        consumption = consumption ();
+        mallocs_per_txn = float_of_int mallocs /. ftxns;
+        frees_per_txn =
+          float_of_int (sum_stat (fun s -> s.Core.Allocator.frees)) /. ftxns;
+        reallocs_per_txn =
+          float_of_int (sum_stat (fun s -> s.Core.Allocator.reallocs)) /. ftxns;
+        mean_alloc_size =
+          (if mallocs = 0 then 0.0
+           else float_of_int bytes /. float_of_int mallocs);
+      })
+    cfgs
+
+let run cfg =
+  match run_group [ cfg ] with
+  | [ m ] -> m
+  | _ -> assert false
 
 let event_per_txn m counter =
   float_of_int (Events.total m.events counter) /. float_of_int m.txns

@@ -11,10 +11,11 @@
     and model outputs: throughput (Figures 5, 7, 10, Table 4), CPU-time
     breakdown, bus utilization, and memory consumption (Figure 9).
 
-    {b Isolation invariant.}  [run] is hermetic: every call builds its own
-    {!Mm_memsim.Memory}, OS layer, {!Mm_cachesim.Cache_system} and
-    per-process {!Mm_stats.Rng} (seeded from [config.seed]), and no module
-    in the simulation stack keeps top-level mutable state — the only
+    {b Isolation invariant.}  [run] and [run_group] are hermetic: every
+    call builds its own {!Mm_memsim.Memory}, OS layer,
+    {!Mm_cachesim.Cache_system} and per-process {!Mm_stats.Rng} (seeded
+    from [config.seed]), and no module in the simulation stack keeps
+    top-level mutable state — the only
     shared top-level values are immutable configuration records (machine
     descriptions, allocator capability/config defaults, paper data).
     Consequently two [run]s never share mutable state: concurrent calls
@@ -74,6 +75,10 @@ val config :
     pages, seed 42, no restarts, processes = the machine's worker count
     divided by active cores (capped at 8 simulated). *)
 
+val effective_processes : config -> int
+(** The number of worker processes {!run} simulates on the core:
+    [processes], or the machine's workers per active core, at most 8. *)
+
 val max_txns_per_process : config -> int
 (** The most transactions any one worker completes in a {!run}:
     ⌈(warmup + measure) / processes⌉.  Workers complete transactions in
@@ -101,6 +106,27 @@ type measurement = {
 }
 
 val run : config -> measurement
+(** [run cfg] is the one-member case of {!run_group}. *)
+
+val shares_stream : config -> config -> bool
+(** Two configurations share a stream when they are equal in every field
+    but [active_cores] and simulate the same number of processes
+    ({!effective_processes}).  The
+    core count then changes only the size of a core's L2 share
+    ({!Mm_cachesim.Machine.l2_sets_per_core}): the processes, the
+    generator, the allocators and every reference they make are the
+    same.  [large_page_heap] is one of the fields that must be equal,
+    because the D-TLB sees the stream before any L2 does. *)
+
+val run_group : config list -> measurement list
+(** The measurements of configurations that pairwise {!shares_stream},
+    in list order, from one pass of the processes, the generator and the
+    allocators through one {!Mm_cachesim.Cache_system.create_group}: a
+    shared L1I, L1D, D-TLB and prefetcher, one L2 per distinct share.
+    Each measurement is byte-identical ({!measurement_to_string}) to
+    {!run} of its configuration — an L2 never feeds back into the
+    front, so every counter is exact.  Raises [Invalid_argument] on an
+    empty list or on configurations that do not share a stream. *)
 
 val event_per_txn : measurement -> Mm_cachesim.Events.counter -> float
 (** Whole-machine-context total of one counter, per transaction. *)

@@ -403,7 +403,7 @@ let test_system_hot_line () =
   for _ = 1 to 100 do
     ignore (Memory.load_word mem ~addr:(1 lsl 32))
   done;
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   Alcotest.(check int) "one L1D miss" 1 (Events.total ev Events.L1d_miss);
   Alcotest.(check int) "100 loads" 100 (Events.total ev Events.Loads);
   Alcotest.(check int) "one TLB miss" 1 (Events.total ev Events.Dtlb_miss)
@@ -414,7 +414,7 @@ let test_system_stream_misses () =
   for i = 0 to 1023 do
     Memory.touch mem ~kind:Access.Load ~addr:((1 lsl 32) + (i * 64)) ~bytes:8
   done;
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   Alcotest.(check int) "L1D misses" 1024 (Events.total ev Events.L1d_miss);
   Alcotest.(check int) "L2 misses" 1024 (Events.total ev Events.L2_miss);
   Alcotest.(check int) "bus fills" 1024 (Events.total ev Events.Bus_fill)
@@ -424,7 +424,7 @@ let test_system_prefetcher_kicks_in () =
   for i = 0 to 1023 do
     Memory.touch mem ~kind:Access.Load ~addr:((1 lsl 32) + (i * 64)) ~bytes:8
   done;
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   Alcotest.(check bool) "few demand L2 misses" true
     (Events.total ev Events.L2_miss < 200);
   Alcotest.(check bool) "prefetch fills instead" true
@@ -436,7 +436,7 @@ let test_system_context_attribution () =
   ignore (Memory.load_word mem ~addr:(1 lsl 33));
   Memory.set_context mem Access.App;
   ignore (Memory.load_word mem ~addr:((1 lsl 33) + 8192));
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   Alcotest.(check int) "mgmt miss" 1 (Events.get ev Access.Mgmt Events.L1d_miss);
   Alcotest.(check int) "app miss" 1 (Events.get ev Access.App Events.L1d_miss)
 
@@ -446,13 +446,13 @@ let test_system_tlb_flush_on_switch () =
   CS.on_context_switch cs;
   ignore (Memory.load_word mem ~addr:(1 lsl 32));
   Alcotest.(check int) "two TLB misses on xeon" 2
-    (Events.total (CS.events cs) Events.Dtlb_miss);
+    (Events.total (CS.events cs 0) Events.Dtlb_miss);
   let mem2, cs2 = make_system Machine.niagara in
   ignore (Memory.load_word mem2 ~addr:(1 lsl 32));
   CS.on_context_switch cs2;
   ignore (Memory.load_word mem2 ~addr:(1 lsl 32));
   Alcotest.(check int) "one TLB miss on niagara (ASIDs)" 1
-    (Events.total (CS.events cs2) Events.Dtlb_miss)
+    (Events.total (CS.events cs2 0) Events.Dtlb_miss)
 
 let test_system_writeback_traffic () =
   let mem, cs = make_system Machine.niagara in
@@ -462,7 +462,7 @@ let test_system_writeback_traffic () =
   for i = 0 to lines - 1 do
     Memory.touch mem ~kind:Access.Store ~addr:((1 lsl 32) + (i * 64)) ~bytes:8
   done;
-  let ev = CS.events cs in
+  let ev = CS.events cs 0 in
   Alcotest.(check bool) "writebacks happened" true
     (Events.total ev Events.Bus_writeback > lines / 2)
 
@@ -539,7 +539,7 @@ let test_system_exact_event_counts () =
       let cs = CS.create ~machine ~active_cores:8 ~large_page_heap:false in
       CS.attach cs mem;
       synthetic_stream cs mem;
-      let ev = CS.events cs in
+      let ev = CS.events cs 0 in
       let i = ref 0 in
       List.iter
         (fun ctx ->
@@ -556,6 +556,64 @@ let test_system_exact_event_counts () =
       ("xeon", Machine.xeon, expected_events_xeon);
       ("niagara", Machine.niagara, expected_events_niagara);
     ]
+
+(* --- Stream groups ---
+
+   One front and one L2 per distinct share must count, member by member,
+   exactly what a system of its own counts on the same stream. *)
+
+let all_counts ev =
+  List.concat_map
+    (fun ctx -> List.map (Events.get ev ctx) Events.all_counters)
+    [ Access.Mgmt; Access.App; Access.Kernel ]
+
+(* The synthetic stream, then two passes over 3 MB at a two-line stride
+   (too sparse to confirm a prefetch stream): the second pass hits in a
+   4 MB L2 share and misses in a smaller one. *)
+let group_stream cs mem =
+  synthetic_stream cs mem;
+  for _ = 1 to 2 do
+    for i = 0 to (3 * 1024 * 1024 / 128) - 1 do
+      Memory.touch mem ~kind:Access.Load ~addr:(0x10000000 + (i * 128)) ~bytes:8
+    done
+  done
+
+let test_system_group_counts () =
+  let cores = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  List.iter
+    (fun (machine, large_page_heap) ->
+      let name = machine.Machine.name ^ if large_page_heap then "+lp" else "" in
+      let mem = Memory.create () in
+      let group = CS.create_group ~machine ~active_cores:cores ~large_page_heap in
+      CS.attach group mem;
+      group_stream group mem;
+      let l2_misses =
+        List.mapi
+          (fun i n ->
+            let mem = Memory.create () in
+            let alone = CS.create ~machine ~active_cores:n ~large_page_heap in
+            CS.attach alone mem;
+            group_stream alone mem;
+            let member = CS.events group i in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s %d cores" name n)
+              (all_counts (CS.events alone 0)) (all_counts member);
+            Events.total member Events.L2_miss)
+          cores
+      in
+      (* The stream must tell the shares apart, or the test shows nothing. *)
+      Alcotest.(check bool)
+        (name ^ ": L2 shares count differently")
+        true
+        (List.length (List.sort_uniq compare l2_misses) > 1))
+    [ (Machine.xeon, false); (Machine.niagara, false); (Machine.xeon, true) ]
+
+let test_system_group_rejects_empty () =
+  Alcotest.check_raises "no member"
+    (Invalid_argument "Cache_system.create_group: no member") (fun () ->
+      ignore
+        (CS.create_group ~machine:Machine.xeon ~active_cores:[]
+           ~large_page_heap:false))
 
 (* --- Perf model --- *)
 
@@ -709,6 +767,10 @@ let () =
           Alcotest.test_case "TLB flush on switch" `Quick test_system_tlb_flush_on_switch;
           Alcotest.test_case "writeback traffic" `Quick test_system_writeback_traffic;
           Alcotest.test_case "exact event counts" `Quick test_system_exact_event_counts;
+          Alcotest.test_case "group = separate systems" `Quick
+            test_system_group_counts;
+          Alcotest.test_case "group needs a member" `Quick
+            test_system_group_rejects_empty;
         ] );
       ( "perf_model",
         [

@@ -254,8 +254,8 @@ let test_process_step_allocation () =
 let test_touch_emits_without_backing () =
   let mem = Memory.create () in
   let events = ref [] in
-  (* The boxed shim materializes Access.t records for test convenience. *)
-  Memory.set_boxed_access_observer mem (fun a -> events := a :: !events);
+  Memory.set_access_observer mem (fun context kind addr bytes ->
+      events := { Access.context; kind; addr; bytes } :: !events);
   Memory.touch mem ~kind:Access.Load ~addr:base ~bytes:4096;
   Alcotest.(check int) "one event" 1 (List.length !events);
   Alcotest.(check int) "no backing" 0 (Memory.backed_bytes mem);

@@ -214,6 +214,62 @@ let test_unreachable_restart_is_no_restart () =
         (payload bound <> none))
     cases
 
+(* Every stream group of the whole evaluation plan: one pass through
+   [run_group] must give each member the bytes [run] gives it. *)
+let test_run_group_matches_run () =
+  let module Ctx = Mm_experiments.Context in
+  let ctx = Ctx.create ~scale:0.0005 ~seed:42 () in
+  let seen = Hashtbl.create 256 in
+  let cfgs =
+    List.filter_map
+      (fun k ->
+        let name = Ctx.store_key k in
+        if Hashtbl.mem seen name then None
+        else begin
+          Hashtbl.add seen name ();
+          Some (Ctx.config k)
+        end)
+      (Mm_experiments.Registry.plan_all ctx)
+  in
+  let groups =
+    List.fold_left
+      (fun groups c ->
+        (* [shares_stream] is an equivalence: at most one group matches. *)
+        match List.partition (fun g -> Engine.shares_stream (List.hd g) c) groups with
+        | [ g ], rest -> (g @ [ c ]) :: rest
+        | _ -> [ c ] :: groups)
+      [] cfgs
+    |> List.filter (fun g -> List.length g > 1)
+  in
+  Alcotest.(check bool) "the plan has stream groups" true (List.length groups >= 10);
+  List.iter
+    (fun g ->
+      List.iter2
+        (fun c m ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %d cores, %s"
+               c.Engine.machine.Machine.name c.Engine.active_cores
+               (Factory.kind_name c.Engine.kind))
+            (Engine.measurement_to_string (Engine.run c))
+            (Engine.measurement_to_string m))
+        g (Engine.run_group g))
+    groups
+
+let test_run_group_rejects () =
+  let cfg cores = Engine.config ~machine:Machine.xeon ~active_cores:cores
+      ~kind:Factory.Region ~spec:Spec.phpbb ~scale:0.02 () in
+  let rejected = Invalid_argument "Engine.run_group: configurations do not share a stream" in
+  (* 8 processes on one core, 2 on eight: not one stream. *)
+  Alcotest.check_raises "process counts differ" rejected (fun () ->
+      ignore (Engine.run_group [ cfg 1; cfg 8 ]));
+  Alcotest.check_raises "allocators differ" rejected (fun () ->
+      ignore (Engine.run_group [ cfg 6; { (cfg 7) with Engine.kind = Factory.Php_default } ]));
+  Alcotest.check_raises "page sizes differ" rejected (fun () ->
+      ignore (Engine.run_group [ cfg 6; { (cfg 7) with Engine.large_page_heap = true } ]));
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Engine.run_group: no configuration") (fun () ->
+      ignore (Engine.run_group []))
+
 let test_engine_event_per_txn () =
   let m = Engine.run (quick_cfg ()) in
   let direct =
@@ -263,6 +319,10 @@ let () =
             test_restart_retires_backing;
           Alcotest.test_case "unreachable restart = no restart" `Quick
             test_unreachable_restart_is_no_restart;
+          Alcotest.test_case "run_group = run per member" `Quick
+            test_run_group_matches_run;
+          Alcotest.test_case "run_group rejects other streams" `Quick
+            test_run_group_rejects;
           Alcotest.test_case "event_per_txn" `Quick test_engine_event_per_txn;
           Alcotest.test_case "mgmt share ordering" `Quick test_mgmt_share_ordering;
         ] );

@@ -635,6 +635,127 @@ let test_blob_rendezvous () =
   Alcotest.(check int) "exactly one compute" 1 (Atomic.get computes);
   Alcotest.(check int) "ctx counted one" 1 (Ctx.blob_computed ctx)
 
+(* --- stream groups through the context -------------------------------- *)
+
+(* Xeon runs two processes per core at 6, 7 and 8 active cores, so these
+   three keys share one stream (Engine.shares_stream). *)
+let group_key ?scale_override ctx cores =
+  Ctx.php_key ctx ~machine:Machine.xeon ~cores ~kind:Factory.Region ~spec
+    ?scale_override ()
+
+let check_as_run name k m =
+  Alcotest.(check string) name
+    (Engine.measurement_to_string (Engine.run (Ctx.config k)))
+    (Engine.measurement_to_string m)
+
+let test_group_first_force () =
+  let ctx = mk_ctx () in
+  let keys = List.map (group_key ctx) [ 6; 7; 8 ] in
+  ignore (Ctx.force ctx (List.nth keys 2));
+  Alcotest.(check int) "the first force simulates the planned group" 3
+    (Ctx.simulated ctx);
+  List.iter2
+    (fun cores k ->
+      check_as_run (Printf.sprintf "%d cores" cores) k (Ctx.force ctx k))
+    [ 6; 7; 8 ] keys;
+  Alcotest.(check int) "siblings are memo hits" 3 (Ctx.simulated ctx)
+
+let test_group_planned_alone () =
+  let ctx = mk_ctx () in
+  ignore (Ctx.force ctx (group_key ctx 8));
+  Alcotest.(check int) "no sibling planned, none simulated" 1 (Ctx.simulated ctx);
+  (* fig5 plans only 8-core keys: each is a group of one. *)
+  let ctx = Ctx.create ~scale:0.001 () in
+  let plan =
+    match Mm_experiments.Registry.find "fig5" with
+    | Some e -> e.Mm_experiments.Registry.plan ctx
+    | None -> Alcotest.fail "fig5 missing"
+  in
+  Ctx.prefetch ctx ~jobs:2 plan;
+  Alcotest.(check int) "fig5 simulates its 42 keys" 42 (Ctx.simulated ctx);
+  Alcotest.(check int) "and plans no more" 42
+    (List.length (List.sort_uniq compare (List.map Ctx.store_key plan)))
+
+let test_group_sibling_on_disk () =
+  let dir = temp_dir () in
+  let store = Store.open_ ~dir ~fingerprint:fp () in
+  let first = mk_ctx ~store () in
+  ignore (Ctx.force first (group_key first 6));
+  let ctx = mk_ctx ~store () in
+  let keys = List.map (group_key ctx) [ 6; 7; 8 ] in
+  ignore (Ctx.force ctx (List.nth keys 2));
+  check_int_strict "the stored sibling is read, not simulated" 1
+    (Ctx.disk_hits ctx);
+  check_int_strict "the others are simulated together" 2 (Ctx.simulated ctx);
+  (* Each force writes the entry it returns: 7's waits for its own. *)
+  check_int_strict "8 is written" 2 (Store.stats ~dir).Store.entries;
+  List.iter (fun k -> ignore (Ctx.force ctx k)) keys;
+  check_int_strict "then every member is a memo hit" 2 (Ctx.simulated ctx);
+  check_int_strict "and 7 is written by its own force" 3
+    (Store.stats ~dir).Store.entries;
+  check_as_run "the disk sibling" (List.hd keys) (Ctx.force ctx (List.hd keys))
+
+(* A key found on disk claims its siblings only to release them: they are
+   neither read nor simulated in its force.  A domain waiting on a
+   released cell starts over and runs the rest of the group. *)
+let test_group_leader_on_disk () =
+  let dir = temp_dir () in
+  let store = Store.open_ ~dir ~fingerprint:fp () in
+  let first = mk_ctx ~store () in
+  ignore (Ctx.force first (group_key first 8));
+  let ctx = mk_ctx ~store () in
+  let keys = List.map (group_key ctx) [ 6; 7; 8 ] in
+  let results =
+    Pool.run ~jobs:2
+      [ (fun () -> Ctx.force ctx (List.nth keys 2));
+        (fun () -> Ctx.force ctx (List.nth keys 1)) ]
+  in
+  check_int_strict "8 is read" 1 (Ctx.disk_hits ctx);
+  check_int_strict "6 and 7 are simulated once, together" 2 (Ctx.simulated ctx);
+  List.iter2 (check_as_run "member") [ List.nth keys 2; List.nth keys 1 ] results;
+  ignore (Ctx.force ctx (List.hd keys));
+  check_int_strict "6 is a memo hit" 2 (Ctx.simulated ctx)
+
+let test_group_racing_siblings () =
+  let ctx = mk_ctx () in
+  let keys = List.map (group_key ctx) [ 6; 7; 8 ] in
+  (* Whichever domain claims first claims the whole group; the other
+     waits on its sibling's cell. *)
+  let results =
+    Pool.run ~jobs:2
+      [ (fun () -> Ctx.force ctx (List.nth keys 0));
+        (fun () -> Ctx.force ctx (List.nth keys 1)) ]
+  in
+  Alcotest.(check int) "the group is simulated once" 3 (Ctx.simulated ctx);
+  List.iter2 (check_as_run "raced member") [ List.nth keys 0; List.nth keys 1 ]
+    results
+
+let test_group_failure_fails_every_cell () =
+  let ctx = mk_ctx () in
+  (* A 32-segment arena runs out about 0.15 s into the run, so the
+     domain that did not claim the group is waiting on its sibling's
+     cell when the group run fails. *)
+  let kind =
+    Factory.Dd (Some (Core.Ddmalloc.config ~arena_size:(32 * 32 * 1024) ()))
+  in
+  let keys =
+    List.map
+      (fun cores -> Ctx.php_key ctx ~machine:Machine.xeon ~cores ~kind ~spec ())
+      [ 6; 7 ]
+  in
+  let fails f =
+    match f () with
+    | _ -> Alcotest.fail "expected the group run to fail"
+    | exception Invalid_argument _ -> ()
+  in
+  fails (fun () ->
+      Pool.run ~jobs:2
+        (List.map (fun k () -> ignore (Ctx.force ctx k : Engine.measurement)) keys));
+  (* The failed cells are gone: forcing the sibling again runs (and
+     fails) again instead of waiting on a cell nobody will fill. *)
+  fails (fun () -> Ctx.force ctx (List.nth keys 1));
+  Alcotest.(check int) "nothing counted" 0 (Ctx.simulated ctx)
+
 (* --- the store key ----------------------------------------------------- *)
 
 let planned ~scale ~seed =
@@ -732,6 +853,18 @@ let () =
             test_fingerprint_flip_invalidates;
           Alcotest.test_case "racing workers simulate once" `Quick
             test_racing_workers_simulate_once;
+          Alcotest.test_case "group: first force runs the group" `Quick
+            test_group_first_force;
+          Alcotest.test_case "group: planned alone" `Quick
+            test_group_planned_alone;
+          Alcotest.test_case "group: sibling on disk" `Quick
+            test_group_sibling_on_disk;
+          Alcotest.test_case "group: leader on disk" `Quick
+            test_group_leader_on_disk;
+          Alcotest.test_case "group: racing siblings" `Quick
+            test_group_racing_siblings;
+          Alcotest.test_case "group: failure fails every cell" `Quick
+            test_group_failure_fails_every_cell;
           Alcotest.test_case "blob layer" `Quick test_blob_layer;
           Alcotest.test_case "blob rendezvous computes once" `Quick
             test_blob_rendezvous;
