@@ -572,8 +572,8 @@ let chaos_cmd =
     Cmdliner.Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
   let chaos_scale_arg =
-    scale_arg ~default:0.02
-      ~doc:"Transaction scale for the reference experiment pass, in (0, 1]."
+    scale_arg ~default:0.002
+      ~doc:"Transaction scale for the experiment pass, in (0, 1]."
   in
   let rec rm_rf path =
     if Sys.file_exists path then
@@ -615,18 +615,18 @@ let chaos_cmd =
         rm_rf tmp)
       (fun () ->
         Printf.printf
-          "Chaos drill: fault seed %d, sim seed %d, scale %.2f, %d job(s)\n\n"
+          "Chaos drill: fault seed %d, sim seed %d, scale %g, %d job(s)\n\n"
           fault_seed seed scale jobs;
-        (* Drill 1: determinism under faults.  The fig1 plan, fault-free
-           and in-memory, is the reference.  The same plan under the
-           fault plan, through a fresh store that is catching injected
-           I/O errors and torn writes, must produce identical bytes at
-           -j 1 and at -j 2 or more — and leave identical stores and fault
-           counts, because every decision is a function of its key.  The
-           plan is small, so every site fires at rate 0.5 here. *)
+        (* Drill 1: determinism under faults.  The whole evaluation plan,
+           fault-free and in-memory, is the reference.  The same plan
+           under the fault plan at its default rates, through a fresh
+           store that is catching injected I/O errors and torn writes,
+           must produce identical bytes at -j 1 and at -j 2 or more —
+           and leave identical stores and fault counts, because every
+           decision is a function of its key.  Every site must fire. *)
         Fault.disable ();
         let clean_ctx = Ctx.create ~scale ~seed () in
-        let keys = Mm_experiments.Exp_throughput.plan_fig1 clean_ctx in
+        let keys = Mm_experiments.Registry.plan_all clean_ctx in
         Ctx.prefetch clean_ctx ~jobs keys;
         let reference =
           List.map
@@ -650,9 +650,7 @@ let chaos_cmd =
           let open_store () =
             Store.open_ ~dir ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
           in
-          Fault.configure ~seed:fault_seed
-            ~rates:(List.map (fun site -> (site, 0.5)) Fault.all_sites)
-            ();
+          Fault.configure ~seed:fault_seed ();
           let ctx = Ctx.create ~scale ~seed ~store:(open_store ()) () in
           Ctx.prefetch ctx ~jobs keys;
           compare_to_reference ctx
@@ -674,10 +672,17 @@ let chaos_cmd =
             (format_counts counts1) wide (format_counts counts_w);
         if files1 <> files_w then
           violate "store contents differ between -j 1 and -j %d" wide;
+        List.iter
+          (fun (site, n) ->
+            if n = 0 then
+              violate "fault site %s never fired in the experiment pass"
+                (Fault.site_name site))
+          counts1;
         Printf.printf
           "experiment pass:  %d configuration(s) at -j 1 and -j %d, %d byte \
            mismatch(es)\n"
-          (List.length keys) wide !mismatches;
+          (List.length (List.sort_uniq compare (List.map Ctx.store_key keys)))
+          wide !mismatches;
         Printf.printf "                  faults at -j 1: %s\n"
           (format_counts counts1);
         Printf.printf "                  faults at -j %d: %s\n" wide

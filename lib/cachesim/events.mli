@@ -41,8 +41,6 @@ val add : t -> Mm_memsim.Access.context -> counter -> int -> unit
 
 val ncounters : int
 
-val ncontexts : int
-
 val counter_index : counter -> int
 
 val ctx_index : Mm_memsim.Access.context -> int

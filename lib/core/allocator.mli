@@ -109,5 +109,3 @@ type handle = {
 
 val pack :
   (module S with type t = 'a) -> mem:Mm_memsim.Memory.t -> 'a -> handle
-
-val make_stats : unit -> stats

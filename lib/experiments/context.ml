@@ -13,14 +13,11 @@ module Fault = Mm_fault.Fault
 type key = {
   name : string;
   stream : string;
-      (* [name] without the core count, plus the process count: two
-         planned keys have equal [stream]s exactly when their configs
-         share a stream (Engine.shares_stream), since [name] determines
-         the config. *)
+      (* The effective config's [name] without the core count, plus the
+         process count: two planned keys have equal [stream]s exactly
+         when their configs share a stream (Engine.shares_stream), since
+         [name] determines the config. *)
   cfg : Engine.config;
-  base : key option;
-      (* [Some b]: a configuration that provably behaves like [b]; its
-         measurement is [b]'s with [cfg] relabelled, not a simulation. *)
 }
 
 (* One computation in flight.  Late requesters for the same name wait on
@@ -134,31 +131,33 @@ let rest_of_config (c : Engine.config) =
     (if ruby then c.Engine.measure_txns else 0)
     c.Engine.scale c.Engine.seed
 
-let make_key ?base (cfg : Engine.config) =
+let make_key (cfg : Engine.config) =
   let machine = "machine=" ^ cfg.Engine.machine.Machine.name ^ ";" in
   let rest = rest_of_config cfg in
+  (* Rendering is most of a key's cost (a warm render builds ~700), so
+     an already-effective config reuses [rest]. *)
+  let effective = Engine.effective cfg in
   {
     name =
       String.concat ""
         [ machine; "cores="; string_of_int cfg.Engine.active_cores; ";"; rest ];
     stream =
       String.concat ""
-        [ machine; rest; ";procs="; string_of_int (Engine.effective_processes cfg) ];
+        [ machine;
+          (if effective == cfg then rest else rest_of_config effective);
+          ";procs="; string_of_int (Engine.effective_processes cfg) ];
     cfg;
-    base;
   }
 
 (* Planning a key declares that the caller will force it, which lets the
    first force of any key of a stream group simulate the group's other
    planned members in the same pass. *)
 let plan t k =
-  if Option.is_none k.base then begin
-    Mutex.lock t.lock;
-    let ks = Option.value (Hashtbl.find_opt t.planned k.stream) ~default:[] in
-    if not (List.exists (fun k' -> String.equal k'.name k.name) ks) then
-      Hashtbl.replace t.planned k.stream (ks @ [ k ]);
-    Mutex.unlock t.lock
-  end;
+  Mutex.lock t.lock;
+  let ks = Option.value (Hashtbl.find_opt t.planned k.stream) ~default:[] in
+  if not (List.exists (fun k' -> String.equal k'.name k.name) ks) then
+    Hashtbl.replace t.planned k.stream (ks @ [ k ]);
+  Mutex.unlock t.lock;
   k
 
 let key_name k = k.name
@@ -211,10 +210,10 @@ let write_store s ?kind ~key data =
    item's request.  An exception fails every cell the computation owed.
    Distinct items proceed concurrently without holding [t.lock] (safe
    because each simulation builds its own Memory, Cache_system and RNGs —
-   see lib/runtime/engine.mli).  A fresh value counts as computed only
-   when [counted]. *)
+   see lib/runtime/engine.mli).  [compute] also returns how many distinct
+   computations it made, which is what [computed] counts. *)
 let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
-    ~counted ~compute key =
+    ~compute key =
   let write n v =
     (* Serialise only when there is a store to write to. *)
     Option.iter (fun s -> write_store s ?kind ~key:n (encode v)) t.store
@@ -252,7 +251,7 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
         raise e
       | `Released | `Pending ->
         Mutex.unlock t.lock;
-        memoize t memo ?kind ~others ~name ~decode ~encode ~counted ~compute key)
+        memoize t memo ?kind ~others ~name ~decode ~encode ~compute key)
     | None ->
       let claim k =
         let cell = { cond = Condition.create (); state = `Pending } in
@@ -266,10 +265,11 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
       let mine = claim key in
       let siblings = List.map claim (List.filter unresolved (others ())) in
       Mutex.unlock t.lock;
-      (* Publish each claimed item's outcome: its new state and whether
-         its value came from disk. *)
-      let settle_all outcomes =
+      (* Publish each claimed item's outcome (its new state and whether
+         its value came from disk) and the number of computations made. *)
+      let settle_all (computations, outcomes) =
         Mutex.lock t.lock;
+        memo.computed <- memo.computed + computations;
         List.iter
           (fun ((k, cell), state, from_disk) ->
             let n' = name k in
@@ -278,11 +278,8 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
             | `Done v ->
               Hashtbl.add memo.table n' v;
               if from_disk then memo.disk_hits <- memo.disk_hits + 1
-              else begin
-                if counted then memo.computed <- memo.computed + 1;
-                if n' <> n && Option.is_some t.store then
-                  Hashtbl.replace memo.unwritten n' ()
-              end
+              else if n' <> n && Option.is_some t.store then
+                Hashtbl.replace memo.unwritten n' ()
             | `Failed _ | `Released | `Pending -> ());
             cell.state <- state;
             Condition.broadcast cell.cond)
@@ -292,8 +289,9 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
       let outcomes =
         match read n with
         | Some v ->
-          (mine, `Done v, true)
-          :: List.map (fun c -> (c, `Released, false)) siblings
+          ( 0,
+            (mine, `Done v, true)
+            :: List.map (fun c -> (c, `Released, false)) siblings )
         | None -> (
           let on_disk, missing =
             List.partition_map
@@ -305,12 +303,13 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
           in
           let missing = mine :: missing in
           match compute (List.map fst missing) with
-          | vs ->
+          | computations, vs ->
             let v = List.hd vs in
             write n v;
-            on_disk @ List.map2 (fun c v -> (c, `Done v, false)) missing vs
+            ( computations,
+              on_disk @ List.map2 (fun c v -> (c, `Done v, false)) missing vs )
           | exception e ->
-            on_disk @ List.map (fun c -> (c, `Failed e, false)) missing)
+            (0, on_disk @ List.map (fun c -> (c, `Failed e, false)) missing))
       in
       settle_all outcomes;
       match (snd mine).state with
@@ -318,33 +317,30 @@ let rec memoize t memo ?kind ?(others = fun () -> []) ~name ~decode ~encode
       | `Failed e -> raise e
       | `Released | `Pending -> assert false)
 
-(* A simulated key claims its planned stream siblings: one
-   [Engine.run_group] then produces every member that missed disk. *)
-let rec force t key =
-  let name k = k.name in
-  let decode p = Result.to_option (Engine.measurement_of_string p) in
-  let encode = Engine.measurement_to_string in
-  match key.base with
-  | Some base ->
-    memoize t t.measurements ~name ~decode ~encode ~counted:false
-      ~compute:(fun _ -> [ { (force t base) with Engine.cfg = key.cfg } ])
-      key
-  | None ->
-    (* [key] itself is already claimed when [memoize] filters these. *)
-    let others () =
-      Option.value (Hashtbl.find_opt t.planned key.stream) ~default:[]
-    in
-    memoize t t.measurements ~others ~name ~decode ~encode ~counted:true
-      ~compute:(fun ks -> Engine.run_group (List.map (fun k -> k.cfg) ks))
-      key
+(* A key claims its planned stream siblings: one [Engine.run_group] then
+   produces every member that missed disk, and counts as one simulation
+   per distinct effective configuration among them. *)
+let force t key =
+  (* [key] itself is already claimed when [memoize] filters these. *)
+  let others () =
+    Option.value (Hashtbl.find_opt t.planned key.stream) ~default:[]
+  in
+  let compute ks =
+    let cfgs = List.map (fun k -> k.cfg) ks in
+    ( List.length (List.sort_uniq compare (List.map Engine.effective cfgs)),
+      Engine.run_group cfgs )
+  in
+  memoize t t.measurements ~others ~name:(fun k -> k.name)
+    ~decode:(fun p -> Result.to_option (Engine.measurement_of_string p))
+    ~encode:Engine.measurement_to_string ~compute key
 
 (* Blobs self-heal exactly like measurements: a stored payload the
    caller's codec rejects is a miss. *)
 let force_blob t ~kind ~key ~valid ~compute =
   memoize t t.blobs ~kind ~name:Fun.id
     ~decode:(fun p -> if valid p then Some p else None)
-    ~encode:Fun.id ~counted:true
-    ~compute:(fun _ -> [ compute () ])
+    ~encode:Fun.id
+    ~compute:(fun _ -> (1, [ compute () ]))
     key
 
 let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
@@ -363,20 +359,14 @@ let php_key t ~machine ~cores ~kind ~spec ?large_pages_override ?scale_override
                ~default:(heap_large_pages machine))
           ~seed:t.seed ()))
 
-(* A restart period no worker reaches is computed from the no-restart
-   key's memo entry (fig12's period 250): one simulation fewer, the same
-   bytes under the same store key. *)
-let rec ruby_key t ~kind ~restart_period ~measure_txns =
-  let cfg =
-    Engine.config ~machine:Machine.xeon ~active_cores:8 ~kind ~spec:Spec.rails
-      ~scale:t.scale ~seed:t.seed ~restart_period ~measure_txns ~processes:4
-      ~warmup_txns:(Stdlib.max 8 (measure_txns / 8))
-      ~use_bulk_free:false ()
-  in
-  match Engine.effective_restart_period cfg with
-  | None when restart_period <> None ->
-    make_key ~base:(ruby_key t ~kind ~restart_period:None ~measure_txns) cfg
-  | Some _ | None -> plan t (make_key cfg)
+let ruby_key t ~kind ~restart_period ~measure_txns =
+  plan t
+    (make_key
+       (Engine.config ~machine:Machine.xeon ~active_cores:8 ~kind
+          ~spec:Spec.rails ~scale:t.scale ~seed:t.seed ~restart_period
+          ~measure_txns ~processes:4
+          ~warmup_txns:(Stdlib.max 8 (measure_txns / 8))
+          ~use_bulk_free:false ()))
 
 let run_php t ~machine ~cores ~kind ~spec ?large_pages_override () =
   force t (php_key t ~machine ~cores ~kind ~spec ?large_pages_override ())
@@ -384,46 +374,25 @@ let run_php t ~machine ~cores ~kind ~spec ?large_pages_override () =
 let run_ruby t ~kind ~restart_period ~measure_txns =
   force t (ruby_key t ~kind ~restart_period ~measure_txns)
 
+(* One task per stream bucket, so no domain blocks on a cell another
+   task's simulation owes; a duplicate or memoised key is a memory hit
+   inside [force]. *)
 let prefetch t ~jobs keys =
-  (* Collapse duplicates and skip configurations already memoized, so
-     repeated prefetches are cheap; [force] re-checks under the lock,
-     this is only an early cut.  One lock acquisition over the whole
-     filter — taking and releasing the lock per key serialized against
-     concurrent forces for nothing. *)
-  let seen = Hashtbl.create (List.length keys) in
-  Mutex.lock t.lock;
-  let fresh =
-    List.filter
-      (fun k ->
-        if Hashtbl.mem seen k.name || Hashtbl.mem t.measurements.table k.name
-        then false
-        else begin
-          Hashtbl.add seen k.name ();
-          true
-        end)
-      keys
-  in
-  Mutex.unlock t.lock;
-  (* One task per simulation: a key, its stream siblings and the keys
-     relabelled from any of them, so no domain blocks on a cell another
-     task's simulation owes. *)
   let tasks = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun k ->
-      let stream = (Option.value k.base ~default:k).stream in
-      match Hashtbl.find_opt tasks stream with
+      match Hashtbl.find_opt tasks k.stream with
       | Some ks -> ks := k :: !ks
       | None ->
         let ks = ref [ k ] in
-        Hashtbl.add tasks stream ks;
+        Hashtbl.add tasks k.stream ks;
         order := ks :: !order)
-    fresh;
+    keys;
   ignore
-    (Pool.run ~jobs
-       (List.rev_map
-          (fun ks () -> List.iter (fun k -> ignore (force t k)) (List.rev !ks))
-          !order)
+    (Pool.map ~jobs
+       (fun ks -> List.iter (fun k -> ignore (force t k)) (List.rev !ks))
+       (List.rev !order)
       : unit list)
 
 let mgmt_fraction (m : Engine.measurement) =

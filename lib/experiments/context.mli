@@ -27,20 +27,25 @@
     to cold output.  Derived blobs ({!force_blob}) go through the same
     memo path, in-flight rendezvous included.
 
-    {b Stream groups.}  Building a key with {!php_key} or {!ruby_key}
-    {e plans} it: it declares that the caller will force it.  Planned
-    keys whose configurations differ only in core count and simulate the
-    same number of processes ({!Mm_runtime.Engine.shares_stream}) form a
-    stream group.  The first {!force} of any of them claims the group's
+    {b Stream groups.}  One rule decides what is simulated together and
+    what is counted: configurations with equal effective stream share one
+    pass; equal effective configurations count as one simulation.
+    Building a key with {!php_key} or {!ruby_key} {e plans} it: it
+    declares that the caller will force it.  Planned keys whose
+    {!Mm_runtime.Engine.effective} configurations differ only in core
+    count and that simulate the same number of processes
+    ({!Mm_runtime.Engine.shares_stream}) form a stream group — the cores
+    of fig7's sweeps, and a Ruby restart period that can never fire
+    together with its no-restart key.  The first {!force} of any of them
+    claims the group's
     other planned members that are neither memoized nor in flight, then
     reads the key from the store: on a hit the others are released
     untouched; on a miss each of them is read too, and the key and those
     that missed are simulated in one {!Mm_runtime.Engine.run_group}.
-    Every member is published and counted as if forced on its own, with
-    the same bytes; its store entry is written by the first force of
-    that member, so each force pays for the one fsync'd write of the
-    entry it returns.  A configuration nobody planned is never
-    simulated. *)
+    Every member is published with the bytes it would have on its own;
+    its store entry is written by the first force of that member, so
+    each force pays for the one fsync'd write of the entry it returns.
+    A configuration nobody planned is never simulated. *)
 
 type t
 
@@ -66,9 +71,6 @@ val php_kinds : Mm_runtime.Alloc_factory.kind list
 
 val ruby_kinds : Mm_runtime.Alloc_factory.kind list
 (** §4.4's four allocators: glibc, Hoard, TCmalloc, DDmalloc. *)
-
-val dd_kind_for : Mm_cachesim.Machine.t -> Mm_runtime.Alloc_factory.kind
-(** DDmalloc configured as the paper ran it on this machine. *)
 
 (** {2 Keys — planned configurations} *)
 
@@ -121,8 +123,8 @@ val ruby_key :
     are simulated so restart effects land inside the measured window.
     A period no worker reaches
     ({!Mm_runtime.Engine.effective_restart_period}) keeps its own store
-    key and bytes, but its measurement is the no-restart key's with [cfg]
-    relabelled: forcing it forces the no-restart key, not a second
+    key, [cfg] and entry, but it is an ordinary member of the no-restart
+    key's stream group: both come from one pass and count as one
     simulation. *)
 
 val force : t -> key -> Mm_runtime.Engine.measurement
@@ -135,22 +137,22 @@ val force : t -> key -> Mm_runtime.Engine.measurement
     it, and a later force tries again. *)
 
 val prefetch : t -> jobs:int -> key list -> unit
-(** Execute every not-yet-memoized key on a pool of [jobs] domains.
-    Duplicate keys in the list are collapsed first, and the keys one
-    simulation produces — a stream group, with the keys relabelled from
-    its members — go to one pool task, so no domain waits on a cell
-    another task owes.  Results land in the memo table; measurements are
-    identical to sequential {!force} because every simulation is hermetic
-    (own simulated memory, caches and RNG — the isolation invariant
-    documented in [lib/runtime/engine.mli]).  Exceptions from simulations
-    are re-raised after the pool drains. *)
+(** Force every key on [jobs] domains ({!Mm_sched.Pool.map}).  The keys
+    are bucketed by stream group, one pool task per bucket, so no domain
+    waits on a cell another task owes; a duplicate or already-memoized
+    key is a memory hit inside {!force}.  Results land in the memo
+    table; measurements are identical to sequential {!force} because
+    every simulation is hermetic (own simulated memory, caches and RNG —
+    the isolation invariant documented in [lib/runtime/engine.mli]).
+    Exceptions from simulations are re-raised after the pool drains. *)
 
 val simulated : t -> int
-(** Number of configurations actually simulated so far (misses of both
-    the memo table and the store; each member of a stream group counts
-    once), for dedup accounting, the CLI's execution summary, and tests.
-    A key relabelled from another key's measurement (see {!ruby_key})
-    counts as neither a simulation nor a disk hit. *)
+(** Number of simulations run so far (misses of both the memo table and
+    the store), for dedup accounting, the CLI's execution summary, and
+    tests: each pass counts the distinct
+    {!Mm_runtime.Engine.effective} configurations it computed, so every
+    core count of a group counts, and a restart period that can never
+    fire computed with its no-restart key does not count again. *)
 
 val disk_hits : t -> int
 (** Number of measurements served from the persistent store instead of

@@ -33,7 +33,3 @@ val sweep :
 
 val fractions : float list
 (** The shared load grid, as fractions of default's capacity. *)
-
-val default_capacity : Context.t -> machine:Mm_cachesim.Machine.t -> float
-
-val policy_for : Context.t -> machine:Mm_cachesim.Machine.t -> Mm_serve.Policy.t

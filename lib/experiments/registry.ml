@@ -192,8 +192,8 @@ let run ?jobs ctx e =
 
 let run_all ?jobs ctx =
   (* Plan-union first so the whole configuration set is visible to the
-     scheduler at once; [Context.prefetch] collapses the overlap between
-     experiments.  Rendering then only reads the memo table, so the
+     scheduler at once; the overlap between experiments is memory hits
+     in [Context.prefetch].  Rendering then only reads the memo table, so the
      output is byte-identical to the old compute-while-printing loop. *)
   execute ?jobs ctx (plan_all ctx);
   List.iter

@@ -33,7 +33,7 @@ val find : string -> experiment option
 
 val plan_all : Context.t -> Context.key list
 (** Union (with duplicates) of every experiment's plan, in registry
-    order; {!Context.prefetch} collapses duplicates. *)
+    order; in {!Context.prefetch} a duplicate is a memory hit. *)
 
 val execute : ?jobs:int -> Context.t -> Context.key list -> unit
 (** Simulate the planned configurations on a pool of [jobs] domains

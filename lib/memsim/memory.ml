@@ -75,11 +75,6 @@ let set_instr_observer t f = t.on_instr <- f
 
 let set_code_observer t f = t.on_code <- f
 
-let clear_observers t =
-  t.on_access <- nop_access;
-  t.on_instr <- nop_count;
-  t.on_code <- nop_count
-
 let[@inline] emit t kind addr bytes =
   t.accesses <- t.accesses + 1;
   t.on_access t.ctx kind addr bytes
@@ -135,22 +130,10 @@ let store8 t ~addr ~value =
     (addr land block_mask)
     (Char.unsafe_chr (value land 0xff))
 
-let load64 t ~addr =
-  check_addr addr 8;
-  emit t Access.Load addr 8;
-  match find_block t (addr lsr block_bits) with
-  | b -> Bytes.get_int64_le b (addr land block_mask)
-  | exception Not_found -> 0L
-
-let store64 t ~addr ~value =
-  check_addr addr 8;
-  emit t Access.Store addr 8;
-  Bytes.set_int64_le (backing t (addr lsr block_bits)) (addr land block_mask) value
-
 (* Int-native 64-bit words, assembled from 16-bit halves so neither side
-   ever boxes an Int64.  Bit-compatible with {!load64}/{!store64}: the
-   stored bytes are the sign-extended 64-bit pattern, and loads return the
-   value modulo 2^63 exactly as [Int64.to_int] would. *)
+   ever boxes an Int64: the stored bytes are the sign-extended
+   little-endian 64-bit pattern, and loads return the value modulo 2^63
+   exactly as [Int64.to_int] would. *)
 let[@inline] get_word b off =
   Bytes.get_uint16_le b off
   lor (Bytes.get_uint16_le b (off + 2) lsl 16)

@@ -64,8 +64,6 @@ val set_instr_observer : t -> (Access.context -> int -> unit) -> unit
 val set_code_observer : t -> (Access.context -> int -> unit) -> unit
 (** The [int] is a simulated code byte-address (for the I-cache). *)
 
-val clear_observers : t -> unit
-
 (** {2 Data accesses}
 
     Addresses must be non-negative.  Multi-byte accesses must not cross a
@@ -76,17 +74,13 @@ val load8 : t -> addr:int -> int
 
 val store8 : t -> addr:int -> value:int -> unit
 
-val load64 : t -> addr:int -> int64
-
-val store64 : t -> addr:int -> value:int64 -> unit
-
 val load_word : t -> addr:int -> int
-(** 64-bit load narrowed to an OCaml int (addresses and sizes fit 62 bits).
-    Reads the same byte representation as {!load64} but never boxes. *)
+(** 64-bit little-endian load narrowed to an OCaml int (addresses and
+    sizes fit 62 bits).  Never boxes. *)
 
 val store_word : t -> addr:int -> value:int -> unit
-(** Bit-compatible with [store64 ~value:(Int64.of_int value)], without the
-    [Int64] boxing. *)
+(** Stores the sign-extended little-endian 64-bit pattern of [value]
+    ([Int64.of_int value]), without the [Int64] boxing. *)
 
 val touch : t -> kind:Access.kind -> addr:int -> bytes:int -> unit
 (** Emit access events for a payload region without materializing backing

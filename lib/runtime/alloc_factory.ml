@@ -46,8 +46,6 @@ let slot_index = function
 let code_base kind =
   app_code_base + app_code_reserved + (slot_index kind * slot_bytes)
 
-let kernel_code_base = app_code_base + app_code_reserved + (8 * slot_bytes)
-
 let create kind ~os ~mem ~pid =
   let code_base = code_base kind in
   match kind with

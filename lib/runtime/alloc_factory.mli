@@ -29,8 +29,6 @@ val code_base : kind -> int
 val app_code_base : int
 (** Interpreter + application code region. *)
 
-val kernel_code_base : int
-
 val create :
   kind ->
   os:Mm_memsim.Os_layer.t ->

@@ -69,6 +69,10 @@ let effective_restart_period cfg =
   | Some k when k > max_txns_per_process cfg -> None
   | period -> period
 
+let effective cfg =
+  if effective_restart_period cfg = cfg.restart_period then cfg
+  else { cfg with restart_period = None }
+
 type measurement = {
   cfg : config;
   events : Events.t;
@@ -93,12 +97,13 @@ let reset_handle_stats (h : Core.Allocator.handle) =
   s.Core.Allocator.bytes_requested <- 0;
   h.Core.Allocator.h_reset_peak ()
 
-(* Every field but [active_cores] equal, and the same process count: the
-   core count then changes only the L2 share, so the stream of references
-   the generator and the allocators produce is the same. *)
+(* Effective configurations equal in every field but [active_cores], and
+   the same process count: the core count then changes only the L2 share,
+   so the stream of references the generator and the allocators produce
+   is the same. *)
 let shares_stream a b =
   effective_processes a = effective_processes b
-  && { a with active_cores = b.active_cores } = b
+  && { (effective a) with active_cores = b.active_cores } = effective b
 
 let run_group cfgs =
   let cfg =

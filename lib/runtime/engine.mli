@@ -87,8 +87,15 @@ val max_txns_per_process : config -> int
 
 val effective_restart_period : config -> int option
 (** [restart_period], or [None] when the period exceeds
-    {!max_txns_per_process}: such a restart never fires, and {!run}
-    returns the no-restart measurement in every field but [cfg]. *)
+    {!max_txns_per_process}: such a restart never fires. *)
+
+val effective : config -> config
+(** The configuration with every knob that cannot act normalised away:
+    today [restart_period] set to {!effective_restart_period}.  {!run}
+    of a configuration equals {!run} of its effective configuration in
+    every field but [cfg], so configurations with equal effective
+    configurations are one simulation.  Returns [cfg] itself (physically)
+    when every knob can act. *)
 
 type measurement = {
   cfg : config;
@@ -109,24 +116,30 @@ val run : config -> measurement
 (** [run cfg] is the one-member case of {!run_group}. *)
 
 val shares_stream : config -> config -> bool
-(** Two configurations share a stream when they are equal in every field
-    but [active_cores] and simulate the same number of processes
-    ({!effective_processes}).  The
+(** Two configurations share a stream when their {!effective}
+    configurations are equal in every field but [active_cores] and they
+    simulate the same number of processes ({!effective_processes}).  The
     core count then changes only the size of a core's L2 share
     ({!Mm_cachesim.Machine.l2_sets_per_core}): the processes, the
     generator, the allocators and every reference they make are the
     same.  [large_page_heap] is one of the fields that must be equal,
-    because the D-TLB sees the stream before any L2 does. *)
+    because the D-TLB sees the stream before any L2 does; a restart
+    period that never fires is not. *)
 
 val run_group : config list -> measurement list
 (** The measurements of configurations that pairwise {!shares_stream},
     in list order, from one pass of the processes, the generator and the
     allocators through one {!Mm_cachesim.Cache_system.create_group}: a
     shared L1I, L1D, D-TLB and prefetcher, one L2 per distinct share.
-    Each measurement is byte-identical ({!measurement_to_string}) to
-    {!run} of its configuration — an L2 never feeds back into the
-    front, so every counter is exact.  Raises [Invalid_argument] on an
-    empty list or on configurations that do not share a stream. *)
+    Workers restart at the first member's [restart_period]; the
+    members' effective periods are equal, so a period that never fires
+    is simulated as itself and matches the no-restart run only because
+    {!max_txns_per_process} bounds what a worker completes.  Each
+    measurement reports its own [cfg] and is byte-identical
+    ({!measurement_to_string}) to {!run} of its configuration — an L2
+    never feeds back into the front, so every counter is exact.  Raises
+    [Invalid_argument] on an empty list or on configurations that do not
+    share a stream. *)
 
 val event_per_txn : measurement -> Mm_cachesim.Events.counter -> float
 (** Whole-machine-context total of one counter, per transaction. *)

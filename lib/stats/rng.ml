@@ -68,14 +68,3 @@ let[@inline] gaussian t =
 
 let[@inline] exponential t ~mean = -.mean *. log (scale53 (nonzero_bits53 t))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t ~bound:(Array.length a))

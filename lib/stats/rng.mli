@@ -7,7 +7,7 @@
     workloads on different cores statistically independent yet repeatable.
 
     The state is kept unboxed, so drawing does not allocate: {!int},
-    {!int_in}, {!bool}, {!shuffle} and {!choose} allocate nothing, and the
+    {!int_in} and {!bool} allocate nothing, and the
     functions returning a [float] or [int64] allocate at most the boxed
     result (none once inlined into an unboxing caller).  Only {!create},
     {!copy} and {!split} allocate a generator. *)
@@ -47,9 +47,3 @@ val gaussian : t -> float
 
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

@@ -262,6 +262,37 @@ let test_unreachable_restart_reuses_no_restart () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A partly warm store: the no-restart entries are on disk but the
+   never-firing period's entries are gone (a gc eviction, a torn write,
+   an interrupted run).  Each missing key is simulated again, once, with
+   the bytes the cold run stored; the no-restart keys stay disk hits. *)
+let test_partly_warm_restart_store () =
+  let dir = Filename.temp_file "mmstudy-ruby" "" in
+  Sys.remove dir;
+  let store =
+    Mm_store.Store.open_ ~dir ~fingerprint:Mm_runtime.Version.sim_fingerprint ()
+  in
+  let cold = Ctx.create ~scale:0.0005 ~store () in
+  let keys = Mm_experiments.Exp_ruby.plan_fig12 cold in
+  let bytes ctx k = Engine.measurement_to_string (Ctx.force ctx k) in
+  let cold_bytes = List.map (bytes cold) keys in
+  let never_fires k =
+    let c = Ctx.config k in
+    Engine.effective c != c
+  in
+  let missing = List.filter never_fires keys in
+  Alcotest.(check int) "never-firing keys" 2 (List.length missing);
+  List.iter
+    (fun k -> Sys.remove (Mm_store.Store.entry_path store ~key:(Ctx.store_key k)))
+    missing;
+  let partial = Ctx.create ~scale:0.0005 ~store () in
+  let partial_bytes = List.map (bytes partial) (Mm_experiments.Exp_ruby.plan_fig12 partial) in
+  Alcotest.(check (list string)) "same bytes as the cold run" cold_bytes partial_bytes;
+  Alcotest.(check int) "one simulation per missing key" 2 (Ctx.simulated partial);
+  Alcotest.(check int) "every other key from disk" 8 (Ctx.disk_hits partial);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_light_experiments_print () =
   (* The cheap drivers must run end to end without raising. *)
   let small = Ctx.create ~scale:0.02 () in
@@ -304,5 +335,7 @@ let () =
           Alcotest.test_case "light drivers print" `Quick test_light_experiments_print;
           Alcotest.test_case "unreachable restart reuses no-restart" `Quick
             test_unreachable_restart_reuses_no_restart;
+          Alcotest.test_case "partly warm store simulates the missing period" `Quick
+            test_partly_warm_restart_store;
         ] );
     ]

@@ -25,12 +25,7 @@ let test_roundtrip_bytes () =
 let test_unmaterialized_reads_zero () =
   let mem = Memory.create () in
   Alcotest.(check int) "untouched byte" 0 (Memory.load8 mem ~addr:(base + 999));
-  Alcotest.(check int64) "untouched word" 0L (Memory.load64 mem ~addr:base)
-
-let test_int64_roundtrip () =
-  let mem = Memory.create () in
-  Memory.store64 mem ~addr:base ~value:0x1122334455667788L;
-  Alcotest.(check int64) "int64" 0x1122334455667788L (Memory.load64 mem ~addr:base)
+  Alcotest.(check int) "untouched word" 0 (Memory.load_word mem ~addr:base)
 
 let test_adjacent_words_independent () =
   let mem = Memory.create () in
@@ -464,7 +459,6 @@ let () =
           Alcotest.test_case "word roundtrip" `Quick test_roundtrip_word;
           Alcotest.test_case "byte roundtrip" `Quick test_roundtrip_bytes;
           Alcotest.test_case "unmaterialized zero" `Quick test_unmaterialized_reads_zero;
-          Alcotest.test_case "int64 roundtrip" `Quick test_int64_roundtrip;
           Alcotest.test_case "adjacent words" `Quick test_adjacent_words_independent;
           Alcotest.test_case "memset" `Quick test_memset;
           Alcotest.test_case "memset cross-block" `Quick test_memset_cross_block;

@@ -215,7 +215,9 @@ let test_unreachable_restart_is_no_restart () =
     cases
 
 (* Every stream group of the whole evaluation plan: one pass through
-   [run_group] must give each member the bytes [run] gives it. *)
+   [run_group] must give each member the bytes [run] gives it.  The plan
+   includes fig12's Ruby keys whose restart period never fires, which
+   share a pass with their no-restart key. *)
 let test_run_group_matches_run () =
   let module Ctx = Mm_experiments.Context in
   let ctx = Ctx.create ~scale:0.0005 ~seed:42 () in
@@ -242,6 +244,12 @@ let test_run_group_matches_run () =
     |> List.filter (fun g -> List.length g > 1)
   in
   Alcotest.(check bool) "the plan has stream groups" true (List.length groups >= 10);
+  let restart_pair g =
+    List.exists (fun c -> not c.Engine.use_bulk_free && c.Engine.restart_period = None) g
+    && List.exists (fun c -> c.Engine.restart_period <> None) g
+  in
+  Alcotest.(check bool) "a Ruby group pairs no restart with a period that never fires"
+    true (List.exists restart_pair groups);
   List.iter
     (fun g ->
       List.iter2
@@ -268,7 +276,32 @@ let test_run_group_rejects () =
       ignore (Engine.run_group [ cfg 6; { (cfg 7) with Engine.large_page_heap = true } ]));
   Alcotest.check_raises "empty"
     (Invalid_argument "Engine.run_group: no configuration") (fun () ->
-      ignore (Engine.run_group []))
+      ignore (Engine.run_group []));
+  (* A restart period shares the no-restart stream exactly when it can
+     never fire: above the most transactions one worker completes. *)
+  let ruby restart_period =
+    Engine.config ~machine:Machine.xeon ~active_cores:8 ~kind:Factory.Glibc
+      ~spec:Spec.rails ~scale:0.002 ~warmup_txns:3 ~measure_txns:6 ~processes:4
+      ~restart_period ~use_bulk_free:false ()
+  in
+  let none = ruby None in
+  let bound = Engine.max_txns_per_process none in
+  Alcotest.check_raises "a period that fires" rejected (fun () ->
+      ignore (Engine.run_group [ none; ruby (Some bound) ]));
+  (* Both orders: the pass restarts at its first member's own period, so
+     each order simulates one of the two periods for real. *)
+  let above = ruby (Some (bound + 1)) in
+  List.iter
+    (fun members ->
+      List.iter2
+        (fun c m ->
+          Alcotest.(check string)
+            (Printf.sprintf "period above the bound: member %s"
+               (Option.fold ~none:"none" ~some:string_of_int c.Engine.restart_period))
+            (Engine.measurement_to_string (Engine.run c))
+            (Engine.measurement_to_string m))
+        members (Engine.run_group members))
+    [ [ none; above ]; [ above; none ] ]
 
 let test_engine_event_per_txn () =
   let m = Engine.run (quick_cfg ()) in

@@ -95,19 +95,6 @@ let test_exception_barrier_finishes_others () =
    with Failure _ -> ());
   Alcotest.(check int) "19 tasks completed" 19 !done_count
 
-let test_submit_await () =
-  let pool = Pool.create ~jobs:3 in
-  Alcotest.(check int) "jobs" 3 (Pool.jobs pool);
-  let ps = List.init 10 (fun i -> Pool.submit pool (fun () -> 2 * i)) in
-  Alcotest.(check (list int))
-    "await in order"
-    (List.init 10 (fun i -> 2 * i))
-    (List.map Pool.await ps);
-  Pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Pool.submit pool (fun () -> 0)))
-
 let test_empty_and_singleton () =
   Alcotest.(check (list int)) "empty" [] (Pool.map ~jobs:4 Fun.id []);
   Alcotest.(check (list int)) "singleton" [ 7 ] (Pool.map ~jobs:4 Fun.id [ 7 ])
@@ -194,20 +181,19 @@ let test_concurrent_force_dedups () =
 
 let test_plan_covers_render () =
   (* Prefetching an experiment's plan must leave nothing for its render
-     to simulate: the render is then a pure read of the memo table. *)
-  let ctx = Ctx.create ~scale:0.02 () in
+     to simulate: the render is then a pure read of the memo table.  A
+     plan that drifts from its render fails here instead of silently
+     simulating during the render. *)
+  let ctx = Ctx.create ~scale:0.002 () in
   List.iter
-    (fun id ->
-      match Registry.find id with
-      | None -> Alcotest.failf "missing %s" id
-      | Some e ->
-        Ctx.prefetch ctx ~jobs:2 (e.Registry.plan ctx);
-        let before = Ctx.simulated ctx in
-        e.Registry.render ctx;
-        Alcotest.(check int)
-          (id ^ ": render simulated nothing new")
-          before (Ctx.simulated ctx))
-    [ "tab1"; "tab3"; "fig1" ]
+    (fun e ->
+      Ctx.prefetch ctx ~jobs:2 (e.Registry.plan ctx);
+      let before = Ctx.simulated ctx in
+      e.Registry.render ctx;
+      Alcotest.(check int)
+        (e.Registry.id ^ ": render simulated nothing new")
+        before (Ctx.simulated ctx))
+    Registry.all
 
 let test_plan_all_nonempty () =
   let ctx = Ctx.create ~scale:0.02 () in
@@ -235,7 +221,6 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "exception barrier" `Quick
             test_exception_barrier_finishes_others;
-          Alcotest.test_case "submit/await/shutdown" `Quick test_submit_await;
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
           Alcotest.test_case "default jobs sane" `Quick test_default_jobs_sane;
@@ -248,7 +233,7 @@ let () =
             test_prefetch_simulates_each_key_once;
           Alcotest.test_case "concurrent force dedups" `Quick
             test_concurrent_force_dedups;
-          Alcotest.test_case "plans cover renders" `Quick
+          Alcotest.test_case "plans cover renders" `Slow
             test_plan_covers_render;
           Alcotest.test_case "all plans non-empty" `Quick
             test_plan_all_nonempty;

@@ -102,22 +102,6 @@ let test_rng_exponential_mean () =
   done;
   check_close ~eps:0.1 "exponential mean" 4.0 (Summary.mean s)
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create ~seed:29 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
-let test_rng_choose_member () =
-  let rng = Rng.create ~seed:31 in
-  let a = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    let v = Rng.choose rng a in
-    Alcotest.(check bool) "member" true (Array.exists (( = ) v) a)
-  done
-
 (* --- Golden streams ---
 
    Exact outputs recorded from the original boxed-state generator and
@@ -665,8 +649,6 @@ let () =
           Alcotest.test_case "bool frequency" `Quick test_rng_bool_frequency;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "choose member" `Quick test_rng_choose_member;
           Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
         ] );
       ( "dist",
