@@ -22,7 +22,7 @@ let create policy ~cores =
   if cores < 1 then invalid_arg "Dispatch.create: cores must be >= 1";
   { policy; cores; cursor = 0 }
 
-let pick t ~(load : int -> int) ~flow =
+let pick t ~(loads : int array) ~flow =
   match t.policy with
   | Round_robin ->
     let c = t.cursor in
@@ -31,7 +31,7 @@ let pick t ~(load : int -> int) ~flow =
   | Least_loaded ->
     let best = ref 0 in
     for i = 1 to t.cores - 1 do
-      if load i < load !best then best := i
+      if loads.(i) < loads.(!best) then best := i
     done;
     !best
   | Affinity -> flow mod t.cores

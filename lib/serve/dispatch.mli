@@ -24,7 +24,9 @@ type t
 
 val create : policy -> cores:int -> t
 
-val pick : t -> load:(int -> int) -> flow:int -> int
-(** Core index in [0, cores) for the next arrival.  [load i] is the
-    number of requests queued or in service on core [i]; [flow] is the
-    request's flow id (used only by [Affinity]). *)
+val pick : t -> loads:int array -> flow:int -> int
+(** Core index in [0, cores) for the next arrival.  [loads.(i)] is the
+    number of requests queued or in service on core [i], read only by
+    [Least_loaded]; the simulator passes its own per-core counters, so
+    a pick allocates nothing.  [flow] is the request's flow id (used
+    only by [Affinity]). *)

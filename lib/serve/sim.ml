@@ -47,46 +47,71 @@ let validate cfg ~service =
 
 (* One attempt = one request as the front-end sees it.  A client request
    (an "original") is a chain of attempts: the original arrival plus any
-   retries its policy spawns after sheds or timeouts. *)
-type req_state = Queued | Serving | Done | Abandoned
+   retries its policy spawns after sheds or timeouts.  Attempts are int
+   ids: original [i] is id [i] and reads its arrival, multiplier and flow
+   from the drawn traffic; retries take ids from [requests] up. *)
 
-type attempt = {
-  a_orig : int;  (** index of the original request *)
-  a_try : int;  (** 0 = original, k = k-th retry *)
-  a_arrival : float;
-  mutable a_state : req_state;
-  mutable a_timed_out : bool;
+(* Attempt states, one byte per id.  A [late] attempt is in service but
+   its client has timed out: the core finishes it and the work is wasted.
+   An [abandoned] attempt timed out while it waited. *)
+let queued = '\000'
+
+let serving = '\001'
+
+let late = '\002'
+
+let finished = '\003'
+
+let abandoned = '\004'
+
+(* Per-attempt columns.  Every id has a state byte; a retry's original,
+   try number (1 = first retry) and arrival time sit at [id - requests].
+   The retry columns start small and double as retries are created. *)
+type attempts = {
+  mutable state : Bytes.t;
+  mutable r_orig : int array;
+  mutable r_try : int array;
+  mutable r_arrival : float array;
+  mutable retries : int;  (** retries created so far *)
 }
 
-(* Binary min-heap of retries on (time, push sequence).  Retries need one
-   because their jittered backoff is not monotone in push order. *)
+let double arr fill = Array.append arr (Array.make (Array.length arr) fill)
+
+let grow_retries a =
+  a.state <- Bytes.extend a.state 0 (Array.length a.r_orig);
+  a.r_orig <- double a.r_orig 0;
+  a.r_try <- double a.r_try 0;
+  a.r_arrival <- double a.r_arrival 0.0
+
+(* Binary min-heap of retry ids on (time, push sequence).  Retries need
+   one because their jittered backoff is not monotone in push order. *)
 module Heap = struct
   type t = {
     mutable times : float array;
     mutable seqs : int array;
-    mutable atts : attempt array;
+    mutable ids : int array;
     mutable len : int;
-    empty : attempt;  (** fills unused slots *)
   }
 
-  let create empty =
-    { times = Array.make 16 0.0; seqs = Array.make 16 0;
-      atts = Array.make 16 empty; len = 0; empty }
+  let create () =
+    { times = Array.make 16 0.0; seqs = Array.make 16 0; ids = Array.make 16 0; len = 0 }
 
   let[@inline] before (t : float) (s : int) t' s' = t < t' || (t = t' && s < s')
 
   let move h ~src ~dst =
     h.times.(dst) <- h.times.(src);
     h.seqs.(dst) <- h.seqs.(src);
-    h.atts.(dst) <- h.atts.(src)
+    h.ids.(dst) <- h.ids.(src)
 
-  let push h time seq a =
-    if h.len = Array.length h.times then begin
-      let grow arr fill = Array.append arr (Array.make (Array.length arr) fill) in
-      h.times <- grow h.times 0.0;
-      h.seqs <- grow h.seqs 0;
-      h.atts <- grow h.atts h.empty
-    end;
+  let grow h =
+    h.times <- double h.times 0.0;
+    h.seqs <- double h.seqs 0;
+    h.ids <- double h.ids 0
+
+  (* Inlined so the caller's [time] stays unboxed: a call would box it,
+     two words per retry. *)
+  let[@inline] push h time seq id =
+    if h.len = Array.length h.times then grow h;
     (* Sift a hole up from the end, then fill it. *)
     let i = ref h.len in
     while !i > 0 && before time seq h.times.((!i - 1) / 2) h.seqs.((!i - 1) / 2) do
@@ -95,7 +120,7 @@ module Heap = struct
     done;
     h.times.(!i) <- time;
     h.seqs.(!i) <- seq;
-    h.atts.(!i) <- a;
+    h.ids.(!i) <- id;
     h.len <- h.len + 1
 
   (* [infinity] when empty, so the caller needs no option. *)
@@ -104,7 +129,7 @@ module Heap = struct
   let min_seq h = h.seqs.(0)
 
   let pop h =
-    let top = h.atts.(0) in
+    let top = h.ids.(0) in
     h.len <- h.len - 1;
     let last = h.len in
     let time = h.times.(last) and seq = h.seqs.(last) in
@@ -129,47 +154,72 @@ module Heap = struct
       end
     done;
     if last > 0 then move h ~src:last ~dst:!i;
-    h.atts.(last) <- h.empty;
     top
+end
+
+(* Ring buffers with power-of-two capacity, grown on demand. *)
+let unroll arr ~head fill =
+  let cap = Array.length arr in
+  let bigger = Array.make (2 * cap) fill in
+  Array.blit arr head bigger 0 (cap - head);
+  Array.blit arr 0 bigger (cap - head) head;
+  bigger
+
+(* A core's run queue: a FIFO ring of attempt ids. *)
+module Ring = struct
+  type t = {
+    mutable ids : int array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () = { ids = Array.make 16 0; head = 0; len = 0 }
+
+  let push r id =
+    if r.len = Array.length r.ids then begin
+      r.ids <- unroll r.ids ~head:r.head 0;
+      r.head <- 0
+    end;
+    r.ids.((r.head + r.len) land (Array.length r.ids - 1)) <- id;
+    r.len <- r.len + 1
+
+  let pop r =
+    let id = r.ids.(r.head) in
+    r.head <- (r.head + 1) land (Array.length r.ids - 1);
+    r.len <- r.len - 1;
+    id
 end
 
 (* FIFO of pending timeouts.  A timeout fires at [now + deadline] with
    [now] nondecreasing and the deadline fixed, so timeouts come due in
-   push order and the head is always the earliest.  A ring buffer with
-   power-of-two capacity, grown on demand. *)
+   push order and the head is always the earliest. *)
 module Fifo = struct
   type t = {
     mutable times : float array;
     mutable seqs : int array;
-    mutable atts : attempt array;
+    mutable ids : int array;
     mutable head : int;
     mutable len : int;
-    empty : attempt;  (** fills unused slots *)
   }
 
-  let create empty =
-    { times = Array.make 16 0.0; seqs = Array.make 16 0;
-      atts = Array.make 16 empty; head = 0; len = 0; empty }
+  let create () =
+    { times = Array.make 16 0.0; seqs = Array.make 16 0; ids = Array.make 16 0;
+      head = 0; len = 0 }
 
   let grow q =
-    let cap = Array.length q.times in
-    let unroll arr fill =
-      let bigger = Array.make (2 * cap) fill in
-      Array.blit arr q.head bigger 0 (cap - q.head);
-      Array.blit arr 0 bigger (cap - q.head) q.head;
-      bigger
-    in
-    q.times <- unroll q.times 0.0;
-    q.seqs <- unroll q.seqs 0;
-    q.atts <- unroll q.atts q.empty;
+    q.times <- unroll q.times ~head:q.head 0.0;
+    q.seqs <- unroll q.seqs ~head:q.head 0;
+    q.ids <- unroll q.ids ~head:q.head 0;
     q.head <- 0
 
-  let push q time seq a =
+  (* Inlined so the caller's [time] stays unboxed: a call would box it,
+     two words per admitted attempt. *)
+  let[@inline] push q time seq id =
     if q.len = Array.length q.times then grow q;
     let i = (q.head + q.len) land (Array.length q.times - 1) in
     q.times.(i) <- time;
     q.seqs.(i) <- seq;
-    q.atts.(i) <- a;
+    q.ids.(i) <- id;
     q.len <- q.len + 1
 
   (* [infinity] when empty, so the caller needs no option. *)
@@ -178,11 +228,10 @@ module Fifo = struct
   let head_seq q = q.seqs.(q.head)
 
   let pop q =
-    let a = q.atts.(q.head) in
-    q.atts.(q.head) <- q.empty;
+    let id = q.ids.(q.head) in
     q.head <- (q.head + 1) land (Array.length q.times - 1);
     q.len <- q.len - 1;
-    a
+    id
 end
 
 (* The simulation clock and the float accumulators.  An all-float
@@ -195,45 +244,62 @@ type clock = {
   mutable last_completion : float;
 }
 
-let run ?(policy = Policy.none) cfg ~service =
-  validate cfg ~service;
-  Policy.validate policy;
-  let n = cfg.requests in
-  let cores = cfg.cores in
-  let levels = Array.length service in
-  (* All randomness up front, one split stream per purpose, so the event
-     loop below is pure bookkeeping and a sweep's streams do not
-     interleave differently as the rate changes.  The retry stream is
-     split last: with [Policy.none] it is never drawn and the first three
-     streams are bit-identical to the pre-policy simulator's. *)
+(* A run's randomness apart from the retry jitter.  It depends on the
+   seed, the request count, the arrival kind and the core count, not on
+   the rate, so a sweep draws it once and replays it at every rate. *)
+type traffic = {
+  unit_arrivals : float array;  (** unit-rate arrival times of the originals *)
+  mult : float array;  (** service multiplier per original *)
+  flow : int array;  (** flow id per original *)
+  root : Rng.t;  (** the seed's root stream after the three splits *)
+}
+
+(* All randomness up front, one split stream per purpose, so the event
+   loop is pure bookkeeping and a sweep's streams do not interleave
+   differently as the rate changes.  The retry stream is the root's
+   fourth split, taken afresh by every run: with [Policy.none] it is
+   never drawn and the first three streams are bit-identical to the
+   pre-policy simulator's. *)
+let draw cfg =
   let root = Rng.create ~seed:cfg.seed in
   let arr_rng = Rng.split root in
   let svc_rng = Rng.split root in
   let flow_rng = Rng.split root in
-  let retry_rng = Rng.split root in
-  let unit = Arrival.unit_times cfg.arrival arr_rng n in
-  let arrivals = Array.map (fun t -> t /. cfg.rate) unit in
-  let mult = Array.init n (fun _ -> Rng.exponential svc_rng ~mean:1.0) in
-  let flow = Array.init n (fun _ -> Rng.int flow_rng ~bound:(8 * cores)) in
-  let warmup = int_of_float (cfg.warmup_frac *. float_of_int n) in
-  (* Fills empty slots; also marks an idle core in [busy].  One per run:
-     a module-level sentinel would be mutable state shared by every domain
-     running sweeps. *)
-  let no_attempt =
-    { a_orig = -1; a_try = 0; a_arrival = 0.0; a_state = Done; a_timed_out = false }
-  in
+  let n = cfg.requests in
+  {
+    unit_arrivals = Arrival.unit_times cfg.arrival arr_rng n;
+    mult = Array.init n (fun _ -> Rng.exponential svc_rng ~mean:1.0);
+    flow = Array.init n (fun _ -> Rng.int flow_rng ~bound:(8 * cfg.cores));
+    root;
+  }
 
-  (* Per core: the FIFO run queue, the attempt in service ([no_attempt]
-     when idle), its completion time ([infinity] when idle) and its load,
-     queued + in service.  Abandoned attempts count towards the load
-     until the core discards them. *)
-  let queues : attempt Queue.t array = Array.init cores (fun _ -> Queue.create ()) in
-  let busy = Array.make cores no_attempt in
+(* One run of [traffic] at [cfg.rate]. *)
+let simulate policy cfg ~service traffic =
+  let n = cfg.requests in
+  let cores = cfg.cores in
+  let rate = cfg.rate in
+  let levels = Array.length service in
+  let unit_arrivals = traffic.unit_arrivals in
+  let mult = traffic.mult in
+  let flow = traffic.flow in
+  let retry_rng = Rng.split (Rng.copy traffic.root) in
+  let warmup = int_of_float (cfg.warmup_frac *. float_of_int n) in
+  let ids =
+    { state = Bytes.make (n + 16) queued; r_orig = Array.make 16 0;
+      r_try = Array.make 16 0; r_arrival = Array.make 16 0.0; retries = 0 }
+  in
+  let orig id = if id < n then id else ids.r_orig.(id - n) in
+
+  (* Per core: the run queue, the attempt in service ([-1] when idle),
+     its completion time ([infinity] when idle) and its load, queued +
+     in service.  Abandoned attempts count towards the load until the
+     core discards them. *)
+  let queues = Array.init cores (fun _ -> Ring.create ()) in
+  let busy = Array.make cores (-1) in
   let busy_done = Array.make cores infinity in
   let loads = Array.make cores 0 in
   let busy_count = ref 0 in
   let dispatcher = Dispatch.create cfg.dispatch ~cores in
-  let load c = loads.(c) in
 
   let hist = Histogram.create () in
   let measured = ref 0 in
@@ -247,22 +313,17 @@ let run ?(policy = Policy.none) cfg ~service =
   let give_ups = ref 0 in
   let clock = { now = 0.0; busy_seconds = 0.0; last_completion = 0.0 } in
 
-  (* An original is resolved by its first successful completion or by
+  (* An original is resolved by its successful completion or by
      exhausting its retries; the run ends when every original is resolved
-     and the servers have drained the leftover (zombie) work. *)
+     and the servers have drained the leftover (zombie) work.  Its
+     attempts form a chain, and only a shed or timed-out attempt spawns
+     the next, so exactly one attempt per original resolves it. *)
   let resolved = ref 0 in
-  let orig_done = Array.make n false in
-  let resolve_orig i =
-    if not orig_done.(i) then begin
-      orig_done.(i) <- true;
-      incr resolved
-    end
-  in
 
   (* Three sources of timed events besides departures, each yielding its
      earliest first:
-     - originals, read in order from the pre-drawn [arrivals]; original
-       [i] carries sequence [i];
+     - originals, read in id order from the drawn arrivals; original [i]
+       carries sequence [i];
      - timeouts, in [timeouts_due];
      - retries, in [retries].
      On equal times the lower sequence goes first, which keeps the event
@@ -270,8 +331,8 @@ let run ?(policy = Policy.none) cfg ~service =
      configuration.  Timeouts and retries draw sequences from [n] up in
      push order, so on a time tie an original goes before either. *)
   let next_orig = ref 0 in
-  let timeouts_due = Fifo.create no_attempt in
-  let retries = Heap.create no_attempt in
+  let timeouts_due = Fifo.create () in
+  let retries = Heap.create () in
   let seq = ref n in
   let next_seq () =
     let s = !seq in
@@ -279,41 +340,47 @@ let run ?(policy = Policy.none) cfg ~service =
     s
   in
 
-  let retry_or_give_up (a : attempt) =
-    if a.a_try < policy.Policy.max_retries then begin
-      (* Capped exponential backoff for retry k = a_try + 1: base,
+  let retry_or_give_up id =
+    let tries = if id < n then 0 else ids.r_try.(id - n) in
+    if tries < policy.Policy.max_retries then begin
+      (* Capped exponential backoff for retry k = tries + 1: base,
          2*base, 4*base, ... up to cap, scaled by a deterministic jitter
          draw from [1 - jitter, 1]. *)
       let b =
         Float.min policy.Policy.backoff_cap
-          (policy.Policy.backoff_base *. (2.0 ** float_of_int a.a_try))
+          (policy.Policy.backoff_base *. (2.0 ** float_of_int tries))
       in
       let j = policy.Policy.jitter in
       let b = if j <= 0.0 then b else b *. (1.0 -. j +. (j *. Rng.float retry_rng)) in
       let t = clock.now +. b in
-      Heap.push retries t (next_seq ())
-        { a_orig = a.a_orig; a_try = a.a_try + 1; a_arrival = t;
-          a_state = Queued; a_timed_out = false }
+      if ids.retries = Array.length ids.r_orig then grow_retries ids;
+      let k = ids.retries in
+      ids.retries <- k + 1;
+      ids.r_orig.(k) <- orig id;
+      ids.r_try.(k) <- tries + 1;
+      ids.r_arrival.(k) <- t;
+      Bytes.set ids.state (n + k) queued;
+      Heap.push retries t (next_seq ()) (n + k)
     end
     else begin
       incr give_ups;
-      resolve_orig a.a_orig
+      incr resolved
     end
   in
 
-  let start_service core (a : attempt) =
+  let start_service core id =
     incr busy_count;
     let k = Int.min !busy_count levels in
-    let dur = service.(k - 1) *. mult.(a.a_orig) in
-    a.a_state <- Serving;
-    busy.(core) <- a;
+    let dur = service.(k - 1) *. mult.(orig id) in
+    Bytes.set ids.state id serving;
+    busy.(core) <- id;
     busy_done.(core) <- clock.now +. dur;
     clock.busy_seconds <- clock.busy_seconds +. dur
   in
 
-  let handle_arrival (a : attempt) =
+  let handle_arrival id =
     incr attempts;
-    let core = Dispatch.pick dispatcher ~load ~flow:flow.(a.a_orig) in
+    let core = Dispatch.pick dispatcher ~loads ~flow:flow.(orig id) in
     let admitted =
       match policy.Policy.admission with
       | Policy.Always -> true
@@ -330,53 +397,55 @@ let run ?(policy = Policy.none) cfg ~service =
     in
     if not admitted then begin
       incr sheds;
-      retry_or_give_up a
+      retry_or_give_up id
     end
     else begin
       incr outstanding;
       if !outstanding > !max_outstanding then max_outstanding := !outstanding;
       (match policy.Policy.deadline with
-      | Some d -> Fifo.push timeouts_due (clock.now +. d) (next_seq ()) a
+      | Some d -> Fifo.push timeouts_due (clock.now +. d) (next_seq ()) id
       | None -> ());
       loads.(core) <- loads.(core) + 1;
-      if busy.(core) == no_attempt then start_service core a
-      else Queue.push a queues.(core)
+      if busy.(core) < 0 then start_service core id
+      else Ring.push queues.(core) id
     end
   in
 
-  let handle_timeout (a : attempt) =
-    match a.a_state with
-    | Done | Abandoned -> ()
-    | Queued ->
+  let handle_timeout id =
+    let s = Bytes.get ids.state id in
+    if s = queued then begin
       (* Client walks away; the slot is discarded when the core reaches
          it, so the abandoned request wastes queue space but no CPU. *)
-      a.a_state <- Abandoned;
-      a.a_timed_out <- true;
+      Bytes.set ids.state id abandoned;
       incr timeouts;
-      retry_or_give_up a
-    | Serving ->
+      retry_or_give_up id
+    end
+    else if s = serving then begin
       (* Too late to shed: the server finishes the request anyway and
          the work is wasted — the essence of metastable overload. *)
-      a.a_timed_out <- true;
+      Bytes.set ids.state id late;
       incr timeouts;
-      retry_or_give_up a
+      retry_or_give_up id
+    end
   in
 
   let handle_departure core =
-    let a = busy.(core) in
-    a.a_state <- Done;
+    let id = busy.(core) in
+    let timely = Bytes.get ids.state id = serving in
+    Bytes.set ids.state id finished;
     incr completions;
     decr outstanding;
     clock.last_completion <- clock.now;
-    busy.(core) <- no_attempt;
+    busy.(core) <- -1;
     busy_done.(core) <- infinity;
     loads.(core) <- loads.(core) - 1;
     decr busy_count;
-    if not a.a_timed_out then begin
+    if timely then begin
       incr ok;
-      resolve_orig a.a_orig;
-      if a.a_orig >= warmup then begin
-        Histogram.add hist (Float.max 0.0 (clock.now -. a.a_arrival));
+      incr resolved;
+      if orig id >= warmup then begin
+        let arrival = if id < n then unit_arrivals.(id) /. rate else ids.r_arrival.(id - n) in
+        Histogram.add hist (Float.max 0.0 (clock.now -. arrival));
         incr measured
       end
     end;
@@ -384,15 +453,16 @@ let run ?(policy = Policy.none) cfg ~service =
        timeout while they waited. *)
     let q = queues.(core) in
     let started = ref false in
-    while (not !started) && not (Queue.is_empty q) do
-      let b = Queue.take q in
-      match b.a_state with
-      | Abandoned ->
+    while (not !started) && q.Ring.len > 0 do
+      let next = Ring.pop q in
+      if Bytes.get ids.state next = abandoned then begin
         loads.(core) <- loads.(core) - 1;
         decr outstanding
-      | Queued | Serving | Done ->
-        start_service core b;
+      end
+      else begin
+        start_service core next;
         started := true
+      end
     done
   in
 
@@ -404,7 +474,7 @@ let run ?(policy = Policy.none) cfg ~service =
       if busy_done.(c) < busy_done.(!dep_core) then dep_core := c
     done;
     let dep_t = busy_done.(!dep_core) in
-    let orig_t = if !next_orig < n then arrivals.(!next_orig) else infinity in
+    let orig_t = if !next_orig < n then unit_arrivals.(!next_orig) /. rate else infinity in
     let timeout_t = Fifo.head_time timeouts_due in
     let retry_t = Heap.min_time retries in
     (* Timeout and retry sequences are distinct, so (time, seq) orders
@@ -425,9 +495,7 @@ let run ?(policy = Policy.none) cfg ~service =
       clock.now <- orig_t;
       let i = !next_orig in
       incr next_orig;
-      handle_arrival
-        { a_orig = i; a_try = 0; a_arrival = orig_t; a_state = Queued;
-          a_timed_out = false }
+      handle_arrival i
     end
     else if retry_first then begin
       clock.now <- retry_t;
@@ -438,7 +506,7 @@ let run ?(policy = Policy.none) cfg ~service =
       handle_timeout (Fifo.pop timeouts_due)
     end
   done;
-  let horizon = arrivals.(n - 1) in
+  let horizon = unit_arrivals.(n - 1) /. rate in
   let makespan = Float.max clock.last_completion epsilon_float in
   (* Saturation = the backlog outlived the arrivals by more than drain
      slack: 5% of the horizon, but never less than a handful of all-busy
@@ -463,3 +531,18 @@ let run ?(policy = Policy.none) cfg ~service =
     goodput_rps = float_of_int !ok /. makespan;
     retry_amplification = float_of_int !attempts /. float_of_int n;
   }
+
+let run ?(policy = Policy.none) cfg ~service =
+  validate cfg ~service;
+  Policy.validate policy;
+  simulate policy cfg ~service (draw cfg)
+
+let run_rates ?(policy = Policy.none) cfg ~service ~rates =
+  match rates with
+  | [] -> []
+  | _ :: _ ->
+    let cfgs = List.map (fun rate -> { cfg with rate }) rates in
+    List.iter (fun c -> validate c ~service) cfgs;
+    Policy.validate policy;
+    let traffic = draw cfg in
+    List.map (fun c -> simulate policy c ~service traffic) cfgs

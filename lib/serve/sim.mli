@@ -6,15 +6,24 @@
     of concurrently busy cores when the request starts (the contention
     table from {!Contention.service_seconds}) and [m_i] an exponential
     mean-1 multiplier fixed per request.  Every run is a pure function of
-    its configuration: arrivals, service multipliers, flow ids and retry
-    jitter are pre-drawn from (or deterministically consumed off) split
-    {!Mm_stats.Rng} streams seeded by [seed], so a run is deterministic
-    and independent of wall clock, process or domain count.
+    its configuration: arrivals, service multipliers and flow ids are
+    pre-drawn from split {!Mm_stats.Rng} streams seeded by [seed], and
+    retry jitter is consumed in event order off a fourth split, so a run
+    is deterministic and independent of wall clock, process or domain
+    count.
 
     Load sweeps reuse {e one} unit-rate arrival sequence scaled by
     [1 / rate] (see {!Arrival}), so raising the rate compresses the same
     traffic pattern: sweep points differ only in load, and latency curves
-    are monotone in load by construction.
+    are monotone in load by construction.  The arrivals, multipliers and
+    flows depend on the seed, [requests], [arrival] and [cores] but not
+    on the rate, so {!run_rates} draws them once for all its rates; each
+    rate still splits its own retry stream off the seed, which keeps
+    every run identical to a lone {!run}.
+
+    The event loop allocates nothing per attempt: attempts are int ids
+    with their state in one byte each, and the run queues, the timeout
+    FIFO and the retry heap are int and float columns.
 
     {b Overload resilience.}  A {!Policy.t} adds client deadlines,
     retries with capped exponential backoff + jitter, and admission
@@ -74,3 +83,12 @@ val run : ?policy:Policy.t -> config -> service:float array -> outcome
     Raises [Invalid_argument] on a non-positive rate or request count,
     [warmup_frac] outside [0, 1), a short/empty/non-positive [service]
     table, or an invalid [policy] (see {!Policy.validate}). *)
+
+val run_rates :
+  ?policy:Policy.t -> config -> service:float array -> rates:float list -> outcome list
+(** [run_rates cfg ~service ~rates] is [List.map (fun rate -> run
+    { cfg with rate } ~service) rates], with the rate-independent
+    traffic drawn once.  [config.rate] is ignored.  With [rates = []] it
+    returns [[]] without validating anything; otherwise it raises
+    [Invalid_argument] as {!run} does, for any of the rates, before
+    simulating. *)

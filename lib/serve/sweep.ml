@@ -45,9 +45,7 @@ let point_of_outcome (o : Sim.outcome) =
   }
 
 let run ?policy cfg ~service ~rates =
-  List.map
-    (fun rate -> point_of_outcome (Sim.run ?policy { cfg with Sim.rate } ~service))
-    rates
+  List.map point_of_outcome (Sim.run_rates ?policy cfg ~service ~rates)
 
 let max_sustainable points =
   List.fold_left

@@ -44,7 +44,11 @@ val run :
   service:float array ->
   rates:float list ->
   point list
-(** One {!Sim.run} per rate ([Sim.config.rate] is overridden), in order. *)
+(** One point per rate, in order, each equal to {!Sim.run} at that rate
+    ([Sim.config.rate] is overridden).  The rate-independent traffic is
+    drawn once for the whole sweep (see {!Sim.run_rates}).  [rates = []]
+    gives [[]] without validating; an invalid rate raises
+    [Invalid_argument]. *)
 
 val max_sustainable : point list -> float option
 (** Highest offered rate the system kept up with ([saturated = false]);

@@ -225,9 +225,10 @@ let test_context_distinguishes_dd_configs () =
     <> Mm_stats.Summary.mean b.Engine.consumption)
 
 (* fig12's "2500" label runs restart period 250, beyond the 68
-   transactions any of its 4 workers completes: its keys are relabelled
-   no-restart measurements, so fig12 simulates 8 of its 10 keys and the
-   whole Ruby plan 10 of 12.  A store still gets one entry per key. *)
+   transactions any of its 4 workers completes: its keys are members of
+   the no-restart key's stream group and are computed in that key's
+   pass, so fig12 simulates 8 of its 10 keys and the whole Ruby plan 10
+   of 12.  A store still gets one entry per key. *)
 let test_unreachable_restart_reuses_no_restart () =
   let dir = Filename.temp_file "mmstudy-ruby" "" in
   Sys.remove dir;

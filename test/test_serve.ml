@@ -90,7 +90,7 @@ let test_arrival_names_roundtrip () =
 let test_dispatch_round_robin_cycles () =
   let d = Dispatch.create Dispatch.Round_robin ~cores:3 in
   let picks =
-    List.init 7 (fun _ -> Dispatch.pick d ~load:(fun _ -> 0) ~flow:0)
+    List.init 7 (fun _ -> Dispatch.pick d ~loads:[| 0; 0; 0 |] ~flow:0)
   in
   Alcotest.(check (list int)) "cycle" [ 0; 1; 2; 0; 1; 2; 0 ] picks
 
@@ -98,11 +98,11 @@ let test_dispatch_least_loaded () =
   let d = Dispatch.create Dispatch.Least_loaded ~cores:4 in
   let loads = [| 3; 1; 0; 2 |] in
   Alcotest.(check int) "min load" 2
-    (Dispatch.pick d ~load:(fun i -> loads.(i)) ~flow:0);
+    (Dispatch.pick d ~loads ~flow:0);
   (* Ties break to the lowest index. *)
   let flat = [| 1; 1; 1; 1 |] in
   Alcotest.(check int) "tie to lowest" 0
-    (Dispatch.pick d ~load:(fun i -> flat.(i)) ~flow:0)
+    (Dispatch.pick d ~loads:flat ~flow:0)
 
 let test_dispatch_affinity () =
   let d = Dispatch.create Dispatch.Affinity ~cores:4 in
@@ -111,7 +111,7 @@ let test_dispatch_affinity () =
       Alcotest.(check int)
         (Printf.sprintf "flow %d" flow)
         (flow mod 4)
-        (Dispatch.pick d ~load:(fun _ -> 0) ~flow))
+        (Dispatch.pick d ~loads:[| 0; 0; 0; 0 |] ~flow))
     [ 0; 1; 5; 11 ]
 
 let test_dispatch_names_roundtrip () =
@@ -686,7 +686,9 @@ module Reference = struct
 
     let handle_arrival (a : attempt) now =
       incr attempts;
-      let core = Dispatch.pick dispatcher ~load ~flow:flow.(a.a_orig) in
+      let core =
+        Dispatch.pick dispatcher ~loads:(Array.init cores load) ~flow:flow.(a.a_orig)
+      in
       let admitted =
         match policy.Policy.admission with
         | Policy.Always -> true
@@ -912,6 +914,52 @@ let prop_sim_matches_reference =
       | [] -> true
       | diffs -> QCheck.Test.fail_reportf "%s" (String.concat "; " diffs))
 
+(* [Sweep.run] draws a sweep's arrivals, multipliers and flows once and
+   replays them at every rate.  Each rate must still see exactly what a
+   lone [Sim.run] sees, its own retry stream included: the reference
+   model above runs one rate at a time and cannot tell. *)
+let gen_sweep_case =
+  QCheck.Gen.(
+    let* cores = int_range 1 8 in
+    let* dispatch = oneofl Dispatch.all in
+    let* arrival = oneofl Arrival.all in
+    let* requests = int_range 1 300 in
+    let* seed = int_range 0 10_000 in
+    let* plain = bool in
+    let* loads = list_size (int_range 0 7) (float_range 0.3 3.0) in
+    let service = inflating_service cores in
+    let capacity = float_of_int cores /. service.(cores - 1) in
+    let policy =
+      if plain then Policy.none
+      else
+        Policy.make ~deadline:0.03 ~max_retries:2 ~jitter:0.5
+          ~admission:(Policy.Queue_limit 3) ()
+    in
+    return
+      ( { Sim.cores; arrival; dispatch; rate = 1.0; requests; warmup_frac = 0.1; seed },
+        policy,
+        service,
+        List.map (fun l -> l *. capacity) loads ))
+
+let print_sweep_case ((c : Sim.config), policy, service, rates) =
+  Printf.sprintf "%s rates=[%s]"
+    (print_sim_case (c, policy, service))
+    (String.concat "; " (List.map (Printf.sprintf "%g") rates))
+
+let prop_sweep_matches_sim =
+  QCheck.Test.make ~count:300 ~name:"Sweep.run = Sim.run per rate"
+    (QCheck.make ~print:print_sweep_case gen_sweep_case)
+    (fun (c, policy, service, rates) ->
+      let swept = Sweep.points_to_string (Sweep.run ~policy c ~service ~rates) in
+      let one_by_one =
+        Sweep.points_to_string
+          (List.map
+             (fun rate -> Sweep.point_of_outcome (Sim.run ~policy { c with Sim.rate } ~service))
+             rates)
+      in
+      swept = one_by_one
+      || QCheck.Test.fail_reportf "sweep:\n%s\nper rate:\n%s" swept one_by_one)
+
 (* Minor words per attempt of one [Sim.run], after a warm-up run. *)
 let words_per_attempt ?policy c ~service =
   ignore (Sim.run ?policy c ~service : Sim.outcome);
@@ -922,11 +970,14 @@ let words_per_attempt ?policy c ~service =
 (* Minor words per attempt, dev profile: 8 least-loaded cores with
    [inflating_service], plain below capacity and
    resilient at 1.8x capacity, where it sheds, times out and retries.
-   Each bound is 1.25x the measured value (18.48 and 16.96); the
-   heap-everything loop took 31.25 and 29.61. *)
-let plain_words_bound = 23.1
+   Each bound is 1.25x the measured value (5.91 and 3.08).  The event
+   loop allocates only the boxed latency each measured completion hands
+   to [Histogram.add]; the rest is the boxed deviates of the traffic
+   draw.  An attempt record and a [Queue] cell per attempt took 18.48
+   and 16.96, the heap-everything loop 31.25 and 29.61. *)
+let plain_words_bound = 7.39
 
-let resilient_words_bound = 21.2
+let resilient_words_bound = 3.84
 
 let test_sim_allocation () =
   let service = inflating_service 8 in
@@ -1138,6 +1189,7 @@ let () =
       ( "reference",
         [
           QCheck_alcotest.to_alcotest prop_sim_matches_reference;
+          QCheck_alcotest.to_alcotest prop_sweep_matches_sim;
           Alcotest.test_case "allocation per attempt" `Quick test_sim_allocation;
         ] );
       ( "end-to-end",
