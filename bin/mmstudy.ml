@@ -71,9 +71,13 @@ let checked base ~flag ~what ok =
   in
   Cmdliner.Arg.conv' (parse, Cmdliner.Arg.conv_printer base)
 
+(* A float flag is also finite: "inf", "nan" and "1e400" parse as floats,
+   but no flag means them. *)
+let finite_float ~flag ~what ok =
+  checked Cmdliner.Arg.float ~flag ~what (fun v -> Float.is_finite v && ok v)
+
 let scale_conv =
-  checked Cmdliner.Arg.float ~flag:"--scale" ~what:"in (0, 1]" (fun s ->
-      s > 0.0 && s <= 1.0)
+  finite_float ~flag:"--scale" ~what:"in (0, 1]" (fun s -> s > 0.0 && s <= 1.0)
 
 let scale_arg ~default ~doc =
   Cmdliner.Arg.(value & opt scale_conv default & info [ "scale" ] ~docv:"S" ~doc)
@@ -338,8 +342,8 @@ let serve_cmd =
         let rates = List.filter_map float_of_string_opt parts in
         if List.length rates <> List.length parts then
           Error "--rps must be `auto' or a comma-separated list of numbers"
-        else if List.exists (fun r -> not (r > 0.0)) rates then
-          Error "--rps rates must be positive"
+        else if List.exists (fun r -> not (r > 0.0 && Float.is_finite r)) rates
+        then Error "--rps rates must be positive and finite"
         else Ok (Some rates)
     in
     let print ppf = function
@@ -361,7 +365,10 @@ let serve_cmd =
     in
     Cmdliner.Arg.(
       value
-      & opt (checked float ~flag:"--duration" ~what:"positive" (fun d -> d > 0.0)) 5.0
+      & opt
+          (finite_float ~flag:"--duration" ~what:"positive and finite" (fun d ->
+               d > 0.0))
+          5.0
       & info [ "duration" ] ~docv:"S" ~doc)
   in
   let timeout_arg =
@@ -372,7 +379,10 @@ let serve_cmd =
     in
     Cmdliner.Arg.(
       value
-      & opt (checked float ~flag:"--timeout" ~what:">= 0 seconds" (fun t -> t >= 0.0)) 0.0
+      & opt
+          (finite_float ~flag:"--timeout" ~what:"finite and >= 0 seconds"
+             (fun t -> t >= 0.0))
+          0.0
       & info [ "timeout" ] ~docv:"S" ~doc)
   in
   let retries_arg =
@@ -439,9 +449,10 @@ let serve_cmd =
         List.map (fun f -> f *. cap) auto_fractions
     in
     let max_rate = List.fold_left Float.max 0.0 rates in
+    (* Clamped as a float: int_of_float of a product past the int range
+       wraps negative, which would silently clamp to the floor. *)
     let requests =
-      Stdlib.max 200
-        (Stdlib.min 50_000 (int_of_float (duration *. max_rate)))
+      int_of_float (Float.min 50_000.0 (Float.max 200.0 (duration *. max_rate)))
     in
     let policy_active = not (Mm_serve.Policy.is_none policy) in
     Printf.printf
@@ -813,28 +824,31 @@ let cache_cmd =
     let max_mb_arg =
       let doc = "Target size: evict least-recently-used entries until the \
                  store fits in $(docv) megabytes." in
+      let mb =
+        finite_float ~flag:"--max-mb" ~what:"finite and >= 0" (fun m ->
+            m >= 0.0)
+      in
       Cmdliner.Arg.(
-        required & opt (some float) None & info [ "max-mb" ] ~docv:"MB" ~doc)
+        required & opt (some mb) None & info [ "max-mb" ] ~docv:"MB" ~doc)
     in
     let run dir max_mb =
-      if max_mb < 0.0 then `Error (false, "--max-mb must be >= 0")
-      else begin
-        let dir = resolve_dir dir in
-        let max_bytes = int_of_float (max_mb *. 1048576.0) in
-        let n = Store.gc ~dir ~max_bytes in
-        let s = Store.stats ~dir in
-        Printf.printf "evicted %d entry(ies); %d left (%.2f MB) in %s\n" n
-          s.Store.entries
-          (float_of_int s.Store.bytes /. 1048576.0)
-          dir;
-        print_by_kind s.Store.by_kind;
-        `Ok ()
-      end
+      let dir = resolve_dir dir in
+      (* A budget past the int range keeps everything; int_of_float of it
+         would wrap negative and evict everything. *)
+      let bytes = max_mb *. 1048576.0 in
+      let max_bytes = if bytes >= 0x1p62 then max_int else int_of_float bytes in
+      let n = Store.gc ~dir ~max_bytes in
+      let s = Store.stats ~dir in
+      Printf.printf "evicted %d entry(ies); %d left (%.2f MB) in %s\n" n
+        s.Store.entries
+        (float_of_int s.Store.bytes /. 1048576.0)
+        dir;
+      print_by_kind s.Store.by_kind
     in
     Cmdliner.Cmd.v
       (Cmdliner.Cmd.info "gc"
          ~doc:"Evict least-recently-used entries down to a size budget.")
-      Cmdliner.Term.(ret (const run $ dir_arg $ max_mb_arg))
+      Cmdliner.Term.(const run $ dir_arg $ max_mb_arg)
   in
   Cmdliner.Cmd.group
     (Cmdliner.Cmd.info "cache"

@@ -1,12 +1,6 @@
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
 
-type params = {
-  block_size : int;
-  use_unsorted : bool;
-  owner : string;
-}
-
 (* Chunk layout (dlmalloc-style).  A chunk starts with an 8-byte header
    holding its total size (a multiple of 8) plus flag bits; the payload
    follows.  Free chunks additionally carry forward/backward list links in
@@ -36,14 +30,14 @@ let small_bins = ((small_max - min_chunk) / 8) + 1
 type t = {
   mem : Memory.t;
   os : Os.t;
-  p : params;
+  block_size : int;  (* growth granularity *)
+  use_unsorted : bool;  (* glibc-style deferred binning *)
   owner : Os.owner;
   code_base : int;
   bins : int;  (* base address of bin head nodes *)
   nbins : int;  (* sized bins *)
   unsorted : int;  (* index of the unsorted bin (= nbins) *)
   mutable block_list : (int * int) list;  (* (base, bytes) *)
-  mutable nblocks : int;
   mutable live : int;
   mutable mmapped_live : (int * int) list;  (* (chunk, bytes) *)
 }
@@ -59,7 +53,7 @@ let log2_ceil n =
   done;
   !acc
 
-let bin_count p = small_bins + (log2_ceil p.block_size - 9)
+let bin_count block_size = small_bins + (log2_ceil block_size - 9)
 
 let bin_of t csize =
   if csize <= small_max then (csize - min_chunk) / 8
@@ -123,30 +117,29 @@ let init_block t base bytes =
 
 let new_block t =
   Memory.instr t.mem 80;
-  let bytes = t.p.block_size in
+  let bytes = t.block_size in
   let base = Os.mmap t.os ~owner:t.owner ~bytes ~align:64 in
   t.block_list <- (base, bytes) :: t.block_list;
-  t.nblocks <- t.nblocks + 1;
   init_block t base bytes;
   base
 
-let create p ~os ~mem ~pid ~code_base =
-  let nbins = bin_count p in
+let create ~block_size ~use_unsorted ~name ~os ~mem ~pid ~code_base =
+  let nbins = bin_count block_size in
   let bins_bytes = (nbins + 1) * 16 in
-  let owner = Os.owner os ~name:p.owner ~pid in
+  let owner = Os.owner os ~name ~pid in
   let bins = Os.mmap os ~owner ~bytes:bins_bytes ~align:64 in
   let t =
     {
       mem;
       os;
-      p;
+      block_size;
+      use_unsorted;
       owner;
       code_base;
       bins;
       nbins;
       unsorted = nbins;
       block_list = [];
-      nblocks = 0;
       live = 0;
       mmapped_live = [];
     }
@@ -238,7 +231,7 @@ let malloc t ~size =
   let nb = needed_size size in
   Memory.instr t.mem 7;
   touch t ~offset:0 ~lines:3;
-  if nb > t.p.block_size - 64 then begin
+  if nb > t.block_size - 64 then begin
     (* Too large for a block: a dedicated mapping, as glibc and Zend do. *)
     Memory.instr t.mem 60;
     touch t ~offset:1024 ~lines:3;
@@ -249,7 +242,7 @@ let malloc t ~size =
     chunk + 8
   end
   else begin
-    let from_unsorted = if t.p.use_unsorted then process_unsorted t nb else 0 in
+    let from_unsorted = if t.use_unsorted then process_unsorted t nb else 0 in
     let chunk =
       if from_unsorted <> 0 then begin
         (* Exact-enough fit straight from the unsorted bin. *)
@@ -319,7 +312,7 @@ let free t ~addr =
     let ah = load_header t after in
     if ah land prev_inuse <> 0 then
       store_header t after (ah land lnot prev_inuse);
-    insert_free t !front !csize ~to_unsorted:t.p.use_unsorted;
+    insert_free t !front !csize ~to_unsorted:t.use_unsorted;
     t.live <- t.live - 1
   end
 
@@ -368,4 +361,45 @@ let consumption t = Os.claimed t.owner
 
 let live_objects t = t.live
 
-let blocks t = t.nblocks
+module type PARAMS = sig
+  val name : string
+
+  val capabilities : Core.Allocator.capabilities
+
+  val code_size : int
+
+  val block_size : int
+
+  val use_unsorted : bool
+end
+
+module type S = sig
+  include Core.Allocator.S
+
+  val create : t Core.Allocator.constructor
+end
+
+module Make (P : PARAMS) = struct
+  include P
+
+  type nonrec t = t
+
+  let create ~os ~mem ~pid ~code_base () =
+    create ~block_size ~use_unsorted ~name ~os ~mem ~pid ~code_base
+
+  let malloc = malloc
+
+  let free = free
+
+  let realloc = realloc
+
+  let usable_size = usable_size
+
+  let free_all =
+    if capabilities.Core.Allocator.bulk_free then free_all
+    else fun (_ : t) -> invalid_arg (name ^ " has no bulk free")
+
+  let consumption = consumption
+
+  let live_objects = live_objects
+end

@@ -6,10 +6,4 @@
     only in the Ruby on Rails comparison (§4.4) against Hoard, TCmalloc and
     DDmalloc. *)
 
-type config = {
-  block_size : int;
-} [@@unboxed]
-
-val config : ?block_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+include Boundary_heap.S

@@ -1,17 +1,6 @@
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
 
-type config = {
-  superblock_size : int;
-} [@@unboxed]
-
-let config ?(superblock_size = 8192) () =
-  assert (superblock_size >= 1024);
-  assert (superblock_size land (superblock_size - 1) = 0);
-  { superblock_size }
-
-let default_config = config ()
-
 let name = "hoard"
 
 let capabilities =
@@ -22,6 +11,10 @@ let capabilities =
   }
 
 let code_size = 12 * 1024
+
+(* Hoard's superblock size; a power of two, so the superblock of an
+   object is a mask of its address. *)
+let superblock_size = 8192
 
 (* Superblock header layout (one 64-byte line at the superblock base):
    +0 free-list head, +8 carve pointer (0 = exhausted), +16 used count,
@@ -51,7 +44,6 @@ let max_small = size_of_class (nclasses - 1)
 type t = {
   mem : Memory.t;
   os : Os.t;
-  cfg : config;
   owner : Os.owner;
   code_base : int;
   meta : int;  (* avail_head[c] at meta+8c, empty_cache[c] at meta+8(n+c) *)
@@ -59,13 +51,13 @@ type t = {
   mutable sbs : int;
 }
 
-let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
+let create ~os ~mem ~pid ~code_base () =
   let owner = Os.owner os ~name ~pid in
   let meta =
     Os.mmap os ~owner ~bytes:(16 * nclasses) ~align:64
   in
   Memory.memset mem ~addr:meta ~bytes:(16 * nclasses) ~value:0;
-  { mem; os; cfg = config; owner; code_base; meta; live = 0; sbs = 0 }
+  { mem; os; owner; code_base; meta; live = 0; sbs = 0 }
 
 let avail_head t c = t.meta + (8 * c)
 
@@ -74,7 +66,7 @@ let empty_cache t c = t.meta + (8 * (nclasses + c))
 let touch t ~offset ~lines =
   Core.Code_model.touch_path t.mem ~base:t.code_base ~offset ~lines
 
-let sb_of_addr t addr = addr land lnot (t.cfg.superblock_size - 1)
+let sb_of_addr addr = addr land lnot (superblock_size - 1)
 
 let avail_insert t c sb =
   let n = Memory.load_word t.mem ~addr:(avail_head t c) in
@@ -108,8 +100,8 @@ let new_superblock t c =
     else begin
       Memory.instr t.mem 40;
       let sb =
-        Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.superblock_size
-          ~align:t.cfg.superblock_size
+        Os.mmap t.os ~owner:t.owner ~bytes:superblock_size
+          ~align:superblock_size
       in
       t.sbs <- t.sbs + 1;
       sb
@@ -131,7 +123,7 @@ let malloc t ~size =
     Memory.instr t.mem 60;
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + header in
-    let sb = Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.superblock_size in
+    let sb = Os.mmap t.os ~owner:t.owner ~bytes ~align:superblock_size in
     Memory.store_word t.mem ~addr:(sb + 24) ~value:(bytes lor large_flag);
     t.live <- t.live + 1;
     sb + header
@@ -154,7 +146,7 @@ let malloc t ~size =
         let bump = Memory.load_word t.mem ~addr:(sb + 8) in
         let next = bump + osize in
         let next =
-          if next + osize > sb + t.cfg.superblock_size then 0 else next
+          if next + osize > sb + superblock_size then 0 else next
         in
         Memory.store_word t.mem ~addr:(sb + 8) ~value:next;
         bump
@@ -171,7 +163,7 @@ let malloc t ~size =
   end
 
 let free t ~addr =
-  let sb = sb_of_addr t addr in
+  let sb = sb_of_addr addr in
   let cw = Memory.load_word t.mem ~addr:(sb + 24) in
   if cw land large_flag <> 0 then begin
     Memory.instr t.mem 40;
@@ -203,7 +195,7 @@ let free t ~addr =
         Memory.store_word t.mem ~addr:(empty_cache t c) ~value:sb
       else begin
         Os.munmap t.os ~owner:t.owner ~addr:sb
-          ~bytes:t.cfg.superblock_size;
+          ~bytes:superblock_size;
         t.sbs <- t.sbs - 1
       end
     end;
@@ -212,7 +204,7 @@ let free t ~addr =
 
 let usable_size t ~addr =
   Memory.instr t.mem 8;
-  let sb = sb_of_addr t addr in
+  let sb = sb_of_addr addr in
   let cw = Memory.load_word t.mem ~addr:(sb + 24) in
   if cw land large_flag <> 0 then (cw land lnot large_flag) - header
   else size_of_class cw

@@ -9,12 +9,8 @@
     costs that matter here are its per-operation superblock bookkeeping.
     Appears in the paper's Ruby on Rails comparison (§4.4). *)
 
-type config = {
-  superblock_size : int;  (** 8 KB in Hoard *)
-} [@@unboxed]
+include Core.Allocator.S
 
-val config : ?superblock_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+val create : t Core.Allocator.constructor
 
 val superblocks_live : t -> int

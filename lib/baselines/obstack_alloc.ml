@@ -1,16 +1,6 @@
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
 
-type config = {
-  chunk_size : int;
-} [@@unboxed]
-
-let config ?(chunk_size = 4096) () =
-  assert (chunk_size >= 256);
-  { chunk_size }
-
-let default_config = config ()
-
 let name = "obstack"
 
 let capabilities =
@@ -22,13 +12,15 @@ let capabilities =
 
 let code_size = 1024
 
+(* obstack's default chunk size. *)
+let chunk_size = 4096
+
 (* Chunk layout: [next-chunk pointer (8 B) | limit (8 B) | payload...]. *)
 let chunk_header = 16
 
 type t = {
   mem : Memory.t;
   os : Os.t;
-  cfg : config;
   owner : Os.owner;
   code_base : int;
   mutable head_chunk : int;  (* most recent chunk base; 0 if none *)
@@ -42,7 +34,7 @@ type t = {
 let round8 n = (n + 7) land lnot 7
 
 let new_chunk t ~payload_bytes =
-  let bytes = Stdlib.max t.cfg.chunk_size (payload_bytes + chunk_header) in
+  let bytes = Stdlib.max chunk_size (payload_bytes + chunk_header) in
   let base = Os.mmap t.os ~owner:t.owner ~bytes ~align:64 in
   (* Chain the new chunk in front and record its limit in its header. *)
   Memory.store_word t.mem ~addr:base ~value:t.head_chunk;
@@ -52,12 +44,11 @@ let new_chunk t ~payload_bytes =
   t.limit <- base + bytes;
   t.chunks <- t.chunks + 1
 
-let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
+let create ~os ~mem ~pid ~code_base () =
   let t =
     {
       mem;
       os;
-      cfg = config;
       owner = Os.owner os ~name ~pid;
       code_base;
       head_chunk = 0;

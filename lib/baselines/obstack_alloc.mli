@@ -9,12 +9,8 @@
     Like the region allocator it has no per-object free; extents for
     [realloc]/[usable_size] use the same untraced oracle. *)
 
-type config = {
-  chunk_size : int;  (** obstack default: 4 KB *)
-} [@@unboxed]
+include Core.Allocator.S
 
-val config : ?chunk_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+val create : t Core.Allocator.constructor
 
 val chunks_live : t -> int

@@ -7,10 +7,4 @@
     — exactly what DDmalloc dodges — comes from the shared
     {!Boundary_heap} engine. *)
 
-type config = {
-  block_size : int;
-} [@@unboxed]
-
-val config : ?block_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+include Boundary_heap.S

@@ -1,44 +1,16 @@
-type config = {
-  block_size : int;
-} [@@unboxed]
+include Boundary_heap.Make (struct
+  let name = "reaps"
 
-let config ?(block_size = 1024 * 1024) () =
-  { block_size }
-
-let default_config = config ()
-
-let name = "reaps"
-
-let capabilities =
-  {
-    Core.Allocator.bulk_free = true;
-    per_object_free = true;
-    defragmentation = true;
-  }
-
-let code_size = 24 * 1024
-
-type t = Boundary_heap.t
-
-let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  Boundary_heap.create
+  let capabilities =
     {
-      Boundary_heap.block_size = config.block_size;
-      use_unsorted = false;
-      owner = name;
+      Core.Allocator.bulk_free = true;
+      per_object_free = true;
+      defragmentation = true;
     }
-    ~os ~mem ~pid ~code_base
 
-let malloc = Boundary_heap.malloc
+  let code_size = 24 * 1024
 
-let free = Boundary_heap.free
+  let block_size = 1024 * 1024
 
-let realloc = Boundary_heap.realloc
-
-let usable_size = Boundary_heap.usable_size
-
-let free_all = Boundary_heap.free_all
-
-let consumption = Boundary_heap.consumption
-
-let live_objects = Boundary_heap.live_objects
+  let use_unsorted = false
+end)

@@ -3,12 +3,7 @@
     per-object free, but whose per-object path "acts in almost the same way
     as Doug Lea's allocator", i.e. still pays for defragmentation.  The
     paper contrasts DDmalloc with Reaps precisely on that point, so our
-    Reaps is the boundary-tag engine plus a bulk [free_all]. *)
+    Reaps is the boundary-tag engine plus a bulk [free_all], growing in
+    1 MB blocks. *)
 
-type config = {
-  block_size : int;
-} [@@unboxed]
-
-val config : ?block_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+include Boundary_heap.S

@@ -1,16 +1,6 @@
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
 
-type config = {
-  chunk_size : int;
-} [@@unboxed]
-
-let config ?(chunk_size = 256 * 1024 * 1024) () =
-  assert (chunk_size >= 64 * 1024);
-  { chunk_size }
-
-let default_config = config ()
-
 let name = "region"
 
 let capabilities =
@@ -23,10 +13,12 @@ let capabilities =
 (* A bump allocator is a few dozen instructions of code. *)
 let code_size = 768
 
+(* The paper's region chunk. *)
+let chunk_size = 256 * 1024 * 1024
+
 type t = {
   mem : Memory.t;
   os : Os.t;
-  cfg : config;
   owner : Os.owner;
   code_base : int;
   state : int;  (* address of the allocator's own state words *)
@@ -40,18 +32,17 @@ type t = {
 }
 
 let map_chunk t =
-  let base = Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.chunk_size ~align:4096 in
+  let base = Os.mmap t.os ~owner:t.owner ~bytes:chunk_size ~align:4096 in
   t.chunks <- Array.append t.chunks [| base |];
   base
 
-let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
+let create ~os ~mem ~pid ~code_base () =
   let owner = Os.owner os ~name ~pid in
   let state = Os.mmap os ~owner ~bytes:64 ~align:64 in
   let t =
     {
       mem;
       os;
-      cfg = config;
       owner;
       code_base;
       state;
@@ -66,7 +57,7 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   in
   let base = map_chunk t in
   t.bump <- base;
-  t.limit <- base + config.chunk_size;
+  t.limit <- base + chunk_size;
   t
 
 let round8 n = (n + 7) land lnot 7
@@ -94,7 +85,7 @@ let malloc t ~size =
     in
     t.current <- next;
     t.bump <- base;
-    t.limit <- base + t.cfg.chunk_size
+    t.limit <- base + chunk_size
   end;
   let addr = t.bump in
   t.bump <- addr + n;
@@ -126,7 +117,7 @@ let free_all t =
   touch_state t;
   t.current <- 0;
   t.bump <- t.chunks.(0);
-  t.limit <- t.chunks.(0) + t.cfg.chunk_size;
+  t.limit <- t.chunks.(0) + chunk_size;
   t.bumped_since_free_all <- 0;
   t.live <- 0;
   Hashtbl.reset t.sizes

@@ -16,12 +16,8 @@
     conservative — the region allocator loses to DDmalloc in the paper
     despite this favour. *)
 
-type config = {
-  chunk_size : int;  (** paper: 256 MB *)
-} [@@unboxed]
+include Core.Allocator.S
 
-val config : ?chunk_size:int -> unit -> config
-
-include Core.Allocator.S with type config := config
+val create : t Core.Allocator.constructor
 
 val chunks_mapped : t -> int

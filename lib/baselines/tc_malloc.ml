@@ -1,19 +1,6 @@
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
 
-type config = {
-  span_size : int;
-  batch : int;
-  cache_cap : int;
-}
-
-let config ?(span_size = 64 * 1024) ?(batch = 16) ?(cache_cap = 256) () =
-  assert (span_size >= 4096 && span_size land (span_size - 1) = 0);
-  assert (batch > 0 && cache_cap >= 2 * batch);
-  { span_size; batch; cache_cap }
-
-let default_config = config ()
-
 let name = "tcmalloc"
 
 let capabilities =
@@ -24,6 +11,16 @@ let capabilities =
   }
 
 let code_size = 16 * 1024
+
+(* Every span is a [span_size]-aligned mapping, so the span of an object
+   is a mask of its address. *)
+let span_size = 64 * 1024
+
+(* Objects moved per central<->cache transfer (paper-era TCmalloc). *)
+let batch = 16
+
+(* Max objects per cache list before scavenging. *)
+let cache_cap = 256
 
 let span_header = 64
 
@@ -36,7 +33,6 @@ let rec_bytes = 32
 type t = {
   mem : Memory.t;
   os : Os.t;
-  cfg : config;
   scheme : Core.Size_class.scheme;
   owner : Os.owner;
   code_base : int;
@@ -45,8 +41,8 @@ type t = {
   mutable scavenges : int;
 }
 
-let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
-  let scheme = Core.Size_class.fine ~max_size:(config.span_size / 4) in
+let create ~os ~mem ~pid ~code_base () =
+  let scheme = Core.Size_class.fine ~max_size:(span_size / 4) in
   let n = Core.Size_class.class_count scheme in
   let owner = Os.owner os ~name ~pid in
   let meta =
@@ -56,7 +52,6 @@ let create ?(config = default_config) ~os ~mem ~pid ~code_base () =
   {
     mem;
     os;
-    cfg = config;
     scheme;
     owner;
     code_base;
@@ -70,7 +65,7 @@ let touch t ~offset ~lines =
 
 let class_rec t c = t.meta + (c * rec_bytes)
 
-let span_of_addr t addr = addr land lnot (t.cfg.span_size - 1)
+let span_of_addr addr = addr land lnot (span_size - 1)
 
 (* Carve a fresh span for class [c], linking every object into the central
    free list up front (TCmalloc's PopulateFreeList). *)
@@ -78,13 +73,13 @@ let carve_span t c =
   Memory.instr t.mem 80;
   touch t ~offset:1536 ~lines:5;
   let span =
-    Os.mmap t.os ~owner:t.owner ~bytes:t.cfg.span_size
-      ~align:t.cfg.span_size
+    Os.mmap t.os ~owner:t.owner ~bytes:span_size
+      ~align:span_size
   in
   Memory.store_word t.mem ~addr:span ~value:c;
   let osize = Core.Size_class.size_of_index t.scheme c in
   let first = span + span_header in
-  let count = (t.cfg.span_size - span_header) / osize in
+  let count = (span_size - span_header) / osize in
   let r = class_rec t c in
   let old_central = Memory.load_word t.mem ~addr:(r + 16) in
   (* Link object i to object i+1; the last links to the old central head. *)
@@ -107,7 +102,7 @@ let refill t c =
   if Memory.load_word t.mem ~addr:(r + 16) = 0 then carve_span t c;
   let head = Memory.load_word t.mem ~addr:(r + 16) in
   let central_len = Memory.load_word t.mem ~addr:(r + 24) in
-  let take = Int.min t.cfg.batch central_len in
+  let take = Int.min batch central_len in
   assert (take > 0);
   let last = ref head in
   for _ = 2 to take do
@@ -153,7 +148,7 @@ let malloc t ~size =
     Memory.instr t.mem 70;
     touch t ~offset:2048 ~lines:4;
     let bytes = ((size + 63) land lnot 63) + span_header in
-    let span = Os.mmap t.os ~owner:t.owner ~bytes ~align:t.cfg.span_size in
+    let span = Os.mmap t.os ~owner:t.owner ~bytes ~align:span_size in
     Memory.store_word t.mem ~addr:span ~value:(bytes lor large_flag);
     t.live <- t.live + 1;
     span + span_header
@@ -176,7 +171,7 @@ let malloc t ~size =
   end
 
 let free t ~addr =
-  let span = span_of_addr t addr in
+  let span = span_of_addr addr in
   let cw = Memory.load_word t.mem ~addr:span in
   if cw land large_flag <> 0 then begin
     Memory.instr t.mem 40;
@@ -194,13 +189,13 @@ let free t ~addr =
     Memory.store_word t.mem ~addr:r ~value:addr;
     let len = Memory.load_word t.mem ~addr:(r + 8) + 1 in
     Memory.store_word t.mem ~addr:(r + 8) ~value:len;
-    if len > t.cfg.cache_cap then scavenge t c;
+    if len > cache_cap then scavenge t c;
     t.live <- t.live - 1
   end
 
 let usable_size t ~addr =
   Memory.instr t.mem 8;
-  let span = span_of_addr t addr in
+  let span = span_of_addr addr in
   let cw = Memory.load_word t.mem ~addr:span in
   if cw land large_flag <> 0 then (cw land lnot large_flag) - span_header
   else Core.Size_class.size_of_index t.scheme cw

@@ -13,27 +13,22 @@ type stats = {
   mutable peak_consumption : int;
 }
 
+type 'heap constructor =
+  os:Mm_memsim.Os_layer.t ->
+  mem:Mm_memsim.Memory.t ->
+  pid:int ->
+  code_base:int ->
+  unit ->
+  'heap
+
 module type S = sig
   type t
-
-  type config
 
   val name : string
 
   val capabilities : capabilities
 
-  val default_config : config
-
   val code_size : int
-
-  val create :
-    ?config:config ->
-    os:Mm_memsim.Os_layer.t ->
-    mem:Mm_memsim.Memory.t ->
-    pid:int ->
-    code_base:int ->
-    unit ->
-    t
 
   val malloc : t -> size:int -> int
 
@@ -55,7 +50,6 @@ type handle = {
   h_caps : capabilities;
   h_stats : stats;
   h_malloc : size:int -> int;
-  h_calloc : count:int -> size:int -> int;
   h_free : addr:int -> unit;
   h_realloc : addr:int -> size:int -> int;
   h_usable_size : addr:int -> int;
@@ -103,15 +97,6 @@ let pack (type a) (module A : S with type t = a) ~mem (heap : a) =
     stats.mallocs <- stats.mallocs + 1;
     stats.bytes_requested <- stats.bytes_requested + size;
     note_consumption ();
-    addr
-  in
-  let calloc ~count ~size =
-    let total = count * size in
-    let addr = malloc ~size:total in
-    (* calloc zeroes the payload with real stores; this traffic is charged
-       to the application like the memset in libc runs in user code. *)
-    Mem.memset mem ~addr ~bytes:total ~value:0;
-    Mem.instr mem (4 + (total / 16));
     addr
   in
   let free ~addr =
@@ -162,7 +147,6 @@ let pack (type a) (module A : S with type t = a) ~mem (heap : a) =
     h_caps = A.capabilities;
     h_stats = stats;
     h_malloc = malloc;
-    h_calloc = calloc;
     h_free = free;
     h_realloc = realloc;
     h_usable_size = usable_size;

@@ -6,6 +6,12 @@
     one signature, so the runtime, the experiments, and the property-based
     test suite treat them interchangeably.
 
+    Construction is not part of the signature: each allocator module has
+    a [create] of type {!constructor}.  Only DDmalloc's also takes a
+    [?config], because its ablations sweep every field; the baselines'
+    sizes are constants.  {!Mm_runtime.Alloc_factory} is the one table
+    that maps an allocator kind to its module and constructor.
+
     Allocators operate on the simulated memory: their free lists, boundary
     tags, and segment tables live at simulated addresses, and every metadata
     load/store they perform flows to the cache simulator tagged with the
@@ -31,33 +37,28 @@ type stats = {
           Figure 9's per-allocator "memory consumed" measure *)
 }
 
+type 'heap constructor =
+  os:Mm_memsim.Os_layer.t ->
+  mem:Mm_memsim.Memory.t ->
+  pid:int ->
+  code_base:int ->
+  unit ->
+  'heap
+(** A fresh heap for one runtime process.  [pid] feeds optimizations that
+    stagger per-process layout; [code_base] is where the allocator's code
+    lives in the synthetic code space. *)
+
 module type S = sig
   type t
-
-  type config
 
   val name : string
 
   val capabilities : capabilities
 
-  val default_config : config
-
   val code_size : int
   (** Bytes of (simulated) machine code; drives the I-cache model.  Small
       allocators (region, DDmalloc) have small footprints — the paper
       attributes part of their L1I-miss reduction to exactly this. *)
-
-  val create :
-    ?config:config ->
-    os:Mm_memsim.Os_layer.t ->
-    mem:Mm_memsim.Memory.t ->
-    pid:int ->
-    code_base:int ->
-    unit ->
-    t
-  (** A fresh heap for one runtime process.  [pid] feeds optimizations that
-      stagger per-process layout; [code_base] is where this allocator's code
-      lives in the synthetic code space. *)
 
   val malloc : t -> size:int -> int
   (** Allocate [size] bytes ([size > 0]); returns the object address,
@@ -96,8 +97,6 @@ type handle = {
   h_caps : capabilities;
   h_stats : stats;
   h_malloc : size:int -> int;
-  h_calloc : count:int -> size:int -> int;
-      (** malloc + zeroing stores over the payload, as libc calloc *)
   h_free : addr:int -> unit;
   h_realloc : addr:int -> size:int -> int;
   h_usable_size : addr:int -> int;

@@ -59,7 +59,10 @@ val config :
 (** Defaults: 32 KB segments, 256 MB arena, the paper's size classes, both
     §3.3 optimizations off, LIFO reuse. *)
 
-include Allocator.S with type config := config
+include Allocator.S
+
+val create : ?config:config -> t Allocator.constructor
+(** A fresh heap for one process; [config] defaults to [config ()]. *)
 
 val segments_in_use : t -> int
 

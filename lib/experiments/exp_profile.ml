@@ -24,7 +24,7 @@ let plan_fig8 ctx =
         (fun spec ->
           List.map
             (fun kind -> Context.php_key ctx ~machine ~cores:8 ~kind ~spec ())
-            [ Factory.Php_default; Factory.Region; Factory.Dd None ])
+            Context.php_kinds)
         Spec.php_apps)
     [ Machine.xeon; Machine.niagara ]
 
@@ -34,7 +34,7 @@ let plan_fig9 ctx =
       List.map
         (fun kind ->
           Context.php_key ctx ~machine:Machine.xeon ~cores:8 ~kind ~spec ())
-        [ Factory.Php_default; Factory.Region; Factory.Dd None ])
+        Context.php_kinds)
     Spec.php_apps
 
 let fig6 ctx =

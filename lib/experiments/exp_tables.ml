@@ -28,16 +28,6 @@ let tab1 (_ctx : Context.t) =
           ("approach", Table.Left);
         ]
   in
-  let caps_of = function
-    | Factory.Dd _ -> Core.Ddmalloc.capabilities
-    | Factory.Region -> Mm_baselines.Region_alloc.capabilities
-    | Factory.Obstack -> Mm_baselines.Obstack_alloc.capabilities
-    | Factory.Php_default -> Mm_baselines.Php_malloc.capabilities
-    | Factory.Glibc -> Mm_baselines.Dl_malloc.capabilities
-    | Factory.Hoard -> Mm_baselines.Hoard_malloc.capabilities
-    | Factory.Tcmalloc -> Mm_baselines.Tc_malloc.capabilities
-    | Factory.Reaps -> Mm_baselines.Reap_malloc.capabilities
-  in
   let approach = function
     | Factory.Dd _ -> "defrag-dodging (this paper)"
     | Factory.Region | Factory.Obstack -> "region-based"
@@ -47,7 +37,7 @@ let tab1 (_ctx : Context.t) =
   in
   List.iter
     (fun kind ->
-      let caps = caps_of kind in
+      let caps = Factory.capabilities kind in
       Table.add_row t
         [
           Factory.kind_name kind;

@@ -31,7 +31,7 @@ let plan_fig5 ctx =
         (fun spec ->
           List.map
             (fun kind -> Context.php_key ctx ~machine ~cores:8 ~kind ~spec ())
-            [ Factory.Php_default; Factory.Region; Factory.Dd None ])
+            Context.php_kinds)
         Spec.php_apps)
     machines
 

@@ -34,7 +34,7 @@ let validate cfg ~service =
   if cfg.cores < 1 then invalid_arg "Sim.run: cores must be >= 1";
   if cfg.requests < 1 then invalid_arg "Sim.run: requests must be >= 1";
   if not (cfg.rate > 0.0 && Float.is_finite cfg.rate) then
-    invalid_arg "Sim.run: rate must be positive";
+    invalid_arg "Sim.run: rate must be positive and finite";
   if cfg.warmup_frac < 0.0 || cfg.warmup_frac >= 1.0 then
     invalid_arg "Sim.run: warmup_frac must be in [0, 1)";
   if Array.length service < cfg.cores then

@@ -38,7 +38,8 @@ type config = {
   cores : int;
   arrival : Arrival.kind;
   dispatch : Dispatch.policy;
-  rate : float;  (** offered load, requests/second; must be positive *)
+  rate : float;
+      (** offered load, requests/second; must be positive and finite *)
   requests : int;
   warmup_frac : float;
       (** leading fraction of requests excluded from the histogram *)
@@ -80,7 +81,8 @@ val run : ?policy:Policy.t -> config -> service:float array -> outcome
 (** [service] is the contention table: [service.(k - 1)] seconds of
     demand with [k] cores busy; its length must be at least
     [config.cores] (higher concurrency clamps to the last entry).
-    Raises [Invalid_argument] on a non-positive rate or request count,
+    Raises [Invalid_argument] on a non-positive or non-finite rate, a
+    non-positive request count,
     [warmup_frac] outside [0, 1), a short/empty/non-positive [service]
     table, or an invalid [policy] (see {!Policy.validate}). *)
 

@@ -28,8 +28,8 @@
 
     {b Fault tolerance.}  Transient I/O errors — real ones, or those
     injected by [Mm_fault.Fault] ([MM_FAULT_SEED]) — are absorbed by a
-    bounded retry with exponential backoff (4 attempts, sub-millisecond
-    waits).  A read that stays broken is a miss (the caller recomputes
+    bounded retry with exponential backoff (4 attempts, waits of 0.5, 1
+    and 2 ms between them).  A read that stays broken is a miss (the caller recomputes
     and the next write heals the entry on disk); a write that stays
     broken raises.  Injected torn writes publish truncated entries on
     purpose, exercising the read-as-miss self-healing path.  {!health}

@@ -99,18 +99,20 @@ let test_tcmalloc_batch_refill () =
 let test_tcmalloc_cache_then_central_roundtrip () =
   let mem = Memory.create () in
   let os = Os.create mem in
-  let cfg = Mm_baselines.Tc_malloc.config ~batch:4 ~cache_cap:8 () in
   let heap =
-    Mm_baselines.Tc_malloc.create ~config:cfg ~os ~mem ~pid:0
+    Mm_baselines.Tc_malloc.create ~os ~mem ~pid:0
       ~code_base:(Factory.code_base Factory.Tcmalloc) ()
   in
-  let addrs = List.init 32 (fun _ -> Mm_baselines.Tc_malloc.malloc heap ~size:64) in
+  (* 400 frees overflow the 256-object cache cap twice: 256 objects go
+     back to central, and the second pass refills them from there. *)
+  let n = 400 in
+  let addrs = List.init n (fun _ -> Mm_baselines.Tc_malloc.malloc heap ~size:64) in
   List.iter (fun addr -> Mm_baselines.Tc_malloc.free heap ~addr) addrs;
-  Alcotest.(check bool) "scavenged under a tiny cap" true
+  Alcotest.(check bool) "scavenged past the cache cap" true
     (Mm_baselines.Tc_malloc.scavenges heap >= 2);
   (* Everything is still allocatable after the cache<->central traffic. *)
-  let again = List.init 32 (fun _ -> Mm_baselines.Tc_malloc.malloc heap ~size:64) in
-  Alcotest.(check int) "same population recycled" 32 (List.length again);
+  let again = List.init n (fun _ -> Mm_baselines.Tc_malloc.malloc heap ~size:64) in
+  Alcotest.(check int) "same population recycled" n (List.length again);
   List.iter
     (fun a ->
       Alcotest.(check bool) "recycled from the original span" true
@@ -141,21 +143,7 @@ let test_obstack_huge_request_gets_own_chunk () =
 
 let test_code_bases_do_not_overlap_code_sizes () =
   let slots =
-    List.map
-      (fun k ->
-        let size =
-          match k with
-          | Factory.Dd _ -> Core.Ddmalloc.code_size
-          | Factory.Region -> Mm_baselines.Region_alloc.code_size
-          | Factory.Obstack -> Mm_baselines.Obstack_alloc.code_size
-          | Factory.Php_default -> Mm_baselines.Php_malloc.code_size
-          | Factory.Glibc -> Mm_baselines.Dl_malloc.code_size
-          | Factory.Hoard -> Mm_baselines.Hoard_malloc.code_size
-          | Factory.Tcmalloc -> Mm_baselines.Tc_malloc.code_size
-          | Factory.Reaps -> Mm_baselines.Reap_malloc.code_size
-        in
-        (Factory.code_base k, size))
-      Factory.all_kinds
+    List.map (fun k -> (Factory.code_base k, Factory.code_size k)) Factory.all_kinds
   in
   List.iteri
     (fun i (a, sa) ->

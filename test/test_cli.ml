@@ -57,6 +57,27 @@ let err name args needles =
 
 let ok name args needles = Alcotest.test_case name `Quick (expect_ok args needles)
 
+(* [cache gc] runs against a fresh temporary store holding one entry, so a
+   regression cannot evict a real store.  [check] gets the gc command
+   line, missing only its --max-mb value. *)
+let with_temp_store check () =
+  let dir = Filename.temp_dir "mmstudy_cli" "" in
+  let rm () = ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int) in
+  Fun.protect ~finally:rm (fun () ->
+      let dir = Filename.quote dir in
+      expect_ok
+        (Printf.sprintf "sim --scale 0.01 --cores 1 --cache-dir %s" dir)
+        [ "simulations: 1" ] ();
+      check (Printf.sprintf "cache gc --dir %s --max-mb" dir))
+
+let gc_err name max_mb =
+  Alcotest.test_case name `Quick
+    (with_temp_store (fun gc -> expect_error (gc ^ max_mb) [ "--max-mb" ] ()))
+
+let gc_ok name max_mb needles =
+  Alcotest.test_case name `Quick
+    (with_temp_store (fun gc -> expect_ok (gc ^ max_mb) needles ()))
+
 let () =
   Alcotest.run "mmstudy_cli"
     [
@@ -100,13 +121,33 @@ let () =
             [ "--retries" ];
           err "bad rps" "serve --rps 10,zap --no-cache" [ "--rps" ];
           err "bad duration" "serve --duration 0 --no-cache" [ "--duration" ];
+          err "infinite rps" "serve --rps inf --scale 0.01 --no-cache -j 1"
+            [ "--rps" ];
+          err "overflowing rps" "serve --rps 1e400 --scale 0.01 --no-cache -j 1"
+            [ "--rps" ];
+          err "infinite duration"
+            "serve --duration inf --scale 0.01 --no-cache -j 1" [ "--duration" ];
+          err "infinite timeout"
+            "serve --timeout inf --scale 0.01 --no-cache -j 1" [ "--timeout" ];
         ] );
       ( "chaos", [ err "bad scale" "chaos --scale 0" [ "--scale" ] ] );
       ( "cache",
-        [ err "gc needs max-mb" "cache gc" [ "--max-mb" ] ] );
+        [
+          err "gc needs max-mb" "cache gc" [ "--max-mb" ];
+          gc_err "gc max-mb nan" " nan";
+          gc_err "gc max-mb inf" " inf";
+          gc_err "gc max-mb negative" "=-1";
+          gc_ok "gc max-mb 0 evicts everything" " 0"
+            [ "evicted 1 entry(ies); 0 left" ];
+          gc_ok "gc max-mb past int range keeps everything" " 1e300"
+            [ "evicted 0 entry(ies); 1 left" ];
+        ] );
       ( "ok paths",
         [
           ok "list exits zero" "list" [ "resilience"; "mediawiki-ro" ];
           ok "help exits zero" "--help=plain" [ "chaos" ];
+          ok "huge duration caps the request count"
+            "serve --duration 1e300 --rps 100 --scale 0.01 --no-cache -j 1"
+            [ "50000 requests per point" ];
         ] );
     ]

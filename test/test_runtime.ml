@@ -34,6 +34,43 @@ let test_factory_code_bases_distinct () =
       Alcotest.(check bool) "above app code" true (b >= Factory.app_code_base))
     bases
 
+(* Literal names and code bases: a mis-derived slot moves every simulated
+   code address, and the store-key golden plans neither obstack nor reaps,
+   so only this test would see it there. *)
+let pinned : (Factory.kind * string * int * (module Core.Allocator.S)) list =
+  let module B = Mm_baselines in
+  [
+    (Factory.Dd None, "ddmalloc", 0x20000400000, (module Core.Ddmalloc));
+    (Factory.Region, "region", 0x20000440000, (module B.Region_alloc));
+    (Factory.Obstack, "obstack", 0x20000480000, (module B.Obstack_alloc));
+    (Factory.Php_default, "php-default", 0x200004c0000, (module B.Php_malloc));
+    (Factory.Glibc, "glibc", 0x20000500000, (module B.Dl_malloc));
+    (Factory.Hoard, "hoard", 0x20000540000, (module B.Hoard_malloc));
+    (Factory.Tcmalloc, "tcmalloc", 0x20000580000, (module B.Tc_malloc));
+    (Factory.Reaps, "reaps", 0x200005c0000, (module B.Reap_malloc));
+  ]
+
+let test_allocator_table_pinned () =
+  Alcotest.(check (list string)) "all_kinds in slot order"
+    (List.map (fun (_, name, _, _) -> name) pinned)
+    (List.map Factory.kind_name Factory.all_kinds);
+  List.iter
+    (fun (kind, name, base, (module M : Core.Allocator.S)) ->
+      Alcotest.(check string) "kind_name" name (Factory.kind_name kind);
+      Alcotest.(check string) "module name" name M.name;
+      Alcotest.(check int) (name ^ " code_base") base (Factory.code_base kind);
+      Alcotest.(check bool) (name ^ " of_name") true
+        (Factory.of_name name = Some kind);
+      Alcotest.(check bool) (name ^ " capabilities") true
+        (Factory.capabilities kind = M.capabilities);
+      Alcotest.(check int) (name ^ " code_size") M.code_size
+        (Factory.code_size kind))
+    pinned;
+  (* A configured DDmalloc shares the family's slot. *)
+  Alcotest.(check int) "configured ddmalloc slot" 0x20000400000
+    (Factory.code_base
+       (Factory.Dd (Some (Core.Ddmalloc.config ~large_pages:true ()))))
+
 (* --- engine --- *)
 
 let test_engine_runs_and_measures () =
@@ -337,6 +374,7 @@ let () =
         [
           Alcotest.test_case "names roundtrip" `Quick test_factory_names_roundtrip;
           Alcotest.test_case "code bases distinct" `Quick test_factory_code_bases_distinct;
+          Alcotest.test_case "table pinned" `Quick test_allocator_table_pinned;
         ] );
       ( "engine",
         [
