@@ -10,8 +10,8 @@
 # fault-injection gate (injected faults must not
 # change a single output byte, the chaos drills must pass, and the store
 # suite must pass with injection armed), and a
-# perf smoke that times one small experiment so hot-path regressions show
-# up in CI logs.
+# perf smoke that times one small experiment and one serving sweep so
+# hot-path regressions show up in CI logs.
 set -eu
 
 cd "$(dirname "$0")"
@@ -209,13 +209,19 @@ MM_FAULT_SEED=42 $TO ./_build/default/test/test_store.exe > /dev/null 2>&1 \
   || { echo "FAIL: test_store under MM_FAULT_SEED=42" >&2; exit 1; }
 echo "test_store passes with injection armed."
 
-echo "== perf smoke: mmstudy run fig1 at scale 0.05, -j 1, no cache (wall-clock) =="
+echo "== perf smoke: run fig1 and a serve sweep, -j 1, no cache (wall-clock) =="
 # Not a pass/fail gate — timing on shared CI boxes is too noisy for that —
-# but the number lands in the log for eyeballing.  Measured before/after
+# but the numbers land in the log for eyeballing.  Measured before/after
 # numbers come from perfbench/run.py.
-# `time` is not available under dash; bracket the run with date.
-t0=$(date +%s)
+# `time` is not available under dash; bracket each run with GNU date's
+# nanosecond clock.
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+t0=$(now_ms)
 $TO $MMSTUDY run fig1 --scale 0.05 --no-cache -j 1 > /dev/null
-echo "perf smoke wall-clock: $(($(date +%s) - t0)) s"
+echo "perf smoke run fig1 wall-clock: $(($(now_ms) - t0)) ms"
+t0=$(now_ms)
+$TO $MMSTUDY serve --workload mediawiki-ro --scale 0.05 --duration 2 \
+  --no-cache -j 1 > /dev/null 2>&1
+echo "perf smoke serve wall-clock: $(($(now_ms) - t0)) ms"
 
 echo "ALL CHECKS PASSED"

@@ -23,6 +23,9 @@ let create policy ~cores =
   { policy; cores; cursor = 0 }
 
 let pick t ~(loads : int array) ~flow =
+  (* Checked once here, so the scan below can read [loads] unchecked. *)
+  if Array.length loads < t.cores then
+    invalid_arg "Dispatch.pick: loads shorter than the core count";
   match t.policy with
   | Round_robin ->
     let c = t.cursor in
@@ -30,8 +33,13 @@ let pick t ~(loads : int array) ~flow =
     c
   | Least_loaded ->
     let best = ref 0 in
+    let least = ref (Array.unsafe_get loads 0) in
     for i = 1 to t.cores - 1 do
-      if loads.(i) < loads.(!best) then best := i
+      let l = Array.unsafe_get loads i in
+      if l < !least then begin
+        best := i;
+        least := l
+      end
     done;
     !best
   | Affinity -> flow mod t.cores

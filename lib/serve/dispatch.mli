@@ -29,4 +29,5 @@ val pick : t -> loads:int array -> flow:int -> int
     number of requests queued or in service on core [i], read only by
     [Least_loaded]; the simulator passes its own per-core counters, so
     a pick allocates nothing.  [flow] is the request's flow id (used
-    only by [Affinity]). *)
+    only by [Affinity]).  Raises [Invalid_argument] if [loads] is
+    shorter than [cores], whatever the policy. *)

@@ -234,12 +234,15 @@ module Fifo = struct
     id
 end
 
-(* The simulation clock and the float accumulators.  An all-float
-   record is stored flat, so setting a field allocates nothing, and the
-   event handlers read the time of the event from [now] instead of
-   taking it as a (boxed) argument. *)
+(* The simulation clock, the times of the next departure and the next
+   original, and the float accumulators.  An all-float record is stored
+   flat, so setting a field allocates nothing, and the event handlers
+   read the time of the event from [now] instead of taking it as a
+   (boxed) argument. *)
 type clock = {
   mutable now : float;  (** time of the event being handled *)
+  mutable dep_t : float;  (** earliest completion time; [infinity] when all idle *)
+  mutable next_arrival : float;  (** next original's arrival; [infinity] after the last *)
   mutable busy_seconds : float;
   mutable last_completion : float;
 }
@@ -293,12 +296,16 @@ let simulate policy cfg ~service traffic =
   (* Per core: the run queue, the attempt in service ([-1] when idle),
      its completion time ([infinity] when idle) and its load, queued +
      in service.  Abandoned attempts count towards the load until the
-     core discards them. *)
+     core discards them.  The next departure is [dep_core], completing
+     at [clock.dep_t]: the earliest completion, ties to the lowest core
+     index.  Starting a service can only lower it, so [start_service]
+     updates it in constant time; only a departure rescans the cores. *)
   let queues = Array.init cores (fun _ -> Ring.create ()) in
   let busy = Array.make cores (-1) in
   let busy_done = Array.make cores infinity in
   let loads = Array.make cores 0 in
   let busy_count = ref 0 in
+  let dep_core = ref 0 in
   let dispatcher = Dispatch.create cfg.dispatch ~cores in
 
   let hist = Histogram.create () in
@@ -311,7 +318,10 @@ let simulate policy cfg ~service traffic =
   let timeouts = ref 0 in
   let sheds = ref 0 in
   let give_ups = ref 0 in
-  let clock = { now = 0.0; busy_seconds = 0.0; last_completion = 0.0 } in
+  let clock =
+    { now = 0.0; dep_t = infinity; next_arrival = unit_arrivals.(0) /. rate;
+      busy_seconds = 0.0; last_completion = 0.0 }
+  in
 
   (* An original is resolved by its successful completion or by
      exhausting its retries; the run ends when every original is resolved
@@ -323,7 +333,8 @@ let simulate policy cfg ~service traffic =
   (* Three sources of timed events besides departures, each yielding its
      earliest first:
      - originals, read in id order from the drawn arrivals; original [i]
-       carries sequence [i];
+       carries sequence [i], and [clock.next_arrival] holds the arrival
+       time of original [next_orig];
      - timeouts, in [timeouts_due];
      - retries, in [retries].
      On equal times the lower sequence goes first, which keeps the event
@@ -372,9 +383,14 @@ let simulate policy cfg ~service traffic =
     incr busy_count;
     let k = Int.min !busy_count levels in
     let dur = service.(k - 1) *. mult.(orig id) in
+    let finish = clock.now +. dur in
     Bytes.set ids.state id serving;
     busy.(core) <- id;
-    busy_done.(core) <- clock.now +. dur;
+    busy_done.(core) <- finish;
+    if finish < clock.dep_t || (finish = clock.dep_t && core < !dep_core) then begin
+      clock.dep_t <- finish;
+      dep_core := core
+    end;
     clock.busy_seconds <- clock.busy_seconds +. dur
   in
 
@@ -463,18 +479,20 @@ let simulate policy cfg ~service traffic =
         start_service core next;
         started := true
       end
-    done
+    done;
+    (* The departed core's completion time rose, so the next departure
+       may now be any core's: rescan, idle cores at [infinity]. *)
+    let d = ref 0 in
+    for c = 1 to cores - 1 do
+      if busy_done.(c) < busy_done.(!d) then d := c
+    done;
+    dep_core := !d;
+    clock.dep_t <- busy_done.(!d)
   in
 
   while !resolved < n || !busy_count > 0 do
-    (* Next departure: argmin over [busy_done], where idle cores sit at
-       [infinity]; ties go to the lowest core index. *)
-    let dep_core = ref 0 in
-    for c = 1 to cores - 1 do
-      if busy_done.(c) < busy_done.(!dep_core) then dep_core := c
-    done;
-    let dep_t = busy_done.(!dep_core) in
-    let orig_t = if !next_orig < n then unit_arrivals.(!next_orig) /. rate else infinity in
+    let dep_t = clock.dep_t in
+    let orig_t = clock.next_arrival in
     let timeout_t = Fifo.head_time timeouts_due in
     let retry_t = Heap.min_time retries in
     (* Timeout and retry sequences are distinct, so (time, seq) orders
@@ -495,6 +513,8 @@ let simulate policy cfg ~service traffic =
       clock.now <- orig_t;
       let i = !next_orig in
       incr next_orig;
+      clock.next_arrival <-
+        (if !next_orig < n then unit_arrivals.(!next_orig) /. rate else infinity);
       handle_arrival i
     end
     else if retry_first then begin

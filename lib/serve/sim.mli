@@ -23,7 +23,14 @@
 
     The event loop allocates nothing per attempt: attempts are int ids
     with their state in one byte each, and the run queues, the timeout
-    FIFO and the retry heap are int and float columns.
+    FIFO and the retry heap are int and float columns.  Choosing the
+    next event reads four kept heads, with no scan.  The next departure
+    is kept up to date: starting a service lowers it if that core
+    finishes earlier, and only a departure rescans the cores.  The next
+    original's arrival time is computed once, when the previous
+    original is taken.  A departure goes first on a time tie with any
+    other event, and the lowest core index goes first among equal
+    departures.
 
     {b Overload resilience.}  A {!Policy.t} adds client deadlines,
     retries with capped exponential backoff + jitter, and admission
