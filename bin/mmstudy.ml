@@ -12,6 +12,17 @@ module Factory = Mm_runtime.Alloc_factory
 let ctx_of ~scale ~seed (store, refresh) =
   Mm_experiments.Context.create ~scale ~seed ?store ~refresh ()
 
+(* The process's peak resident set so far, in MB: the kernel's VmHWM
+   line, where there is one (Linux). *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line ->
+        Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb -> (kb + 512) / 1024))
+      (String.split_on_char '\n' status)
+
 (* Execution accounting goes to stderr so that a warm (store-served) run
    stays byte-identical to a cold run on stdout — check.sh diffs them
    (and greps the "simulations: N," and "serve sims: N," fields). *)
@@ -21,13 +32,16 @@ let print_exec_summary ctx =
   | Some s ->
     Printf.eprintf
       "[mmstudy] simulations: %d, disk hits: %d, serve sims: %d, serve \
-       hits: %d, store errors: %d, store: %s\n%!"
+       hits: %d, store errors: %d, store: %s%s\n%!"
       (Mm_experiments.Context.simulated ctx)
       (Mm_experiments.Context.disk_hits ctx)
       (Mm_experiments.Context.blob_computed ctx)
       (Mm_experiments.Context.blob_disk_hits ctx)
       (Mm_experiments.Context.store_errors ctx)
       (Store.dir s)
+      (match peak_rss_mb () with
+       | Some mb -> Printf.sprintf ", peak rss: %d MB" mb
+       | None -> "")
 
 (* --- converters ------------------------------------------------------
 

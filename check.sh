@@ -71,9 +71,12 @@ echo "== store smoke: cold vs warm run must be byte-identical =="
 # disk alone (zero simulations).  Also proves the cached path reproduces
 # the --no-cache output above exactly.
 cachedir=$(mktemp -d)
-cold=$(mktemp) && warm=$(mktemp) && warmerr=$(mktemp)
-trap 'rm -f "$out1" "$out4" "$cold" "$warm" "$warmerr"; rm -rf "$cachedir"' EXIT
-MMSTUDY_CACHE_DIR="$cachedir" $TO $MMSTUDY run all --scale 0.05 -j 4 > "$cold"
+cold=$(mktemp) && colderr=$(mktemp) && warm=$(mktemp) && warmerr=$(mktemp)
+trap 'rm -f "$out1" "$out4" "$cold" "$colderr" "$warm" "$warmerr"; rm -rf "$cachedir"' EXIT
+MMSTUDY_CACHE_DIR="$cachedir" $TO $MMSTUDY run all --scale 0.05 -j 4 > "$cold" 2> "$colderr"
+# Informational: the cold run's peak resident set, from its summary line.
+echo "cold run all $(grep -o 'peak rss: [0-9]* MB' "$colderr" || echo 'peak rss: not reported')"
+rm -f "$colderr"
 MMSTUDY_CACHE_DIR="$cachedir" $TO $MMSTUDY run all --scale 0.05 -j 4 > "$warm" 2> "$warmerr"
 if ! diff -u "$cold" "$warm"; then
   echo "FAIL: warm (store-served) output differs from cold output" >&2

@@ -7,7 +7,8 @@
    sequential pattern's L2 misses into prefetch traffic, exactly the
    effect behind the paper's Figure 8.
 
-   Run with:  dune exec examples/cache_explorer.exe *)
+   Run with:  dune exec examples/cache_explorer.exe  (dune runtest checks
+   its output against cache_explorer.expected). *)
 
 module Memory = Mm_memsim.Memory
 module CS = Mm_cachesim.Cache_system

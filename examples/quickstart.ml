@@ -1,8 +1,10 @@
 (* Quickstart: drive DDmalloc directly through the public API.
 
    Builds a simulated memory, creates a DDmalloc heap on it, allocates and
-   frees a handful of objects, bulk-frees at a "transaction end", and
-   prints what happened.  Run with:  dune exec examples/quickstart.exe *)
+   frees a handful of objects, fills one that spans many pages, bulk-frees
+   at a "transaction end", and prints what happened.  Run with:
+   dune exec examples/quickstart.exe  (dune runtest checks its output
+   against quickstart.expected). *)
 
 module Memory = Mm_memsim.Memory
 module Os = Mm_memsim.Os_layer
@@ -36,6 +38,22 @@ let () =
   let addr0 = List.hd objs in
   Memory.store_word mem ~addr:addr0 ~value:0xdeadbeef;
   assert (Memory.load_word mem ~addr:addr0 = 0xdeadbeef);
+
+  (* Host memory follows the bytes written, one 4 KiB page at a time:
+     filling the 100 KB object backs the pages it spans, and each byte
+     reads back on both sides of every page boundary inside it. *)
+  let big = List.nth objs 4 in
+  let before = Memory.backed_bytes mem in
+  Memory.memset mem ~addr:big ~bytes:100_000 ~value:0x5a;
+  Printf.printf "filling the 100000-B object backs %d more pages of %d B\n"
+    ((Memory.backed_bytes mem - before) / Memory.page_size)
+    Memory.page_size;
+  let page_start = ref (big + Memory.page_size - (big mod Memory.page_size)) in
+  while !page_start < big + 100_000 do
+    assert (Memory.load8 mem ~addr:(!page_start - 1) = 0x5a);
+    assert (Memory.load8 mem ~addr:!page_start = 0x5a);
+    page_start := !page_start + Memory.page_size
+  done;
 
   (* Free one object per-object; its memory is reused LIFO. *)
   Core.Ddmalloc.free heap ~addr:addr0;

@@ -1,7 +1,10 @@
 (** Sparse simulated memory.
 
-    A flat 63-bit byte-addressed space, backed lazily in 64 KB blocks so a
-    256 MB region chunk costs nothing until written.  Allocators store their
+    A flat 63-bit byte-addressed space, backed lazily in 4 KiB pages so a
+    256 MB region chunk or a sparsely used DDmalloc segment costs host
+    memory only for the pages written.  Pages sit in a two-level table:
+    4 MiB chunks of 1024 page slots, found by chunk id.  A chunk exists
+    while at least one of its pages is backed.  Allocators store their
     real data structures here — free-list links threaded through dead
     objects, boundary tags, segment metadata — so the addresses they touch
     (and therefore their cache behaviour) are genuine, not modeled.
@@ -14,15 +17,18 @@
       I-cache model.
 
     All three are tagged with the current {!Access.context}, switched by the
-    runtime around allocator calls.
+    runtime around allocator calls.  The backing granularity never shows
+    in them: every event and every byte read back is the same as with any
+    other granularity.
 
     {b Zero-allocation hot path.}  A simulated data access performs no heap
     allocation: the observer receives the four components of an
-    {!Access.t} as immediate arguments rather than a boxed record, block
-    lookup goes through a one-entry last-block cache (and a preallocated
-    [Not_found] instead of an allocating [find_opt]), and
-    {!load_word}/{!store_word} assemble native [int]s without [Int64]
-    boxing.  Billions of events per experiment ride on this path. *)
+    {!Access.t} as immediate arguments rather than a boxed record, page
+    lookup goes through a one-entry last-page cache and then a one-entry
+    last-chunk cache (and a preallocated [Not_found] instead of an
+    allocating [find_opt] when both miss), and {!load_word}/{!store_word}
+    assemble native [int]s without [Int64] boxing.  Billions of events per
+    experiment ride on this path. *)
 
 type t
 
@@ -36,15 +42,15 @@ type observer = Access.context -> Access.kind -> int -> int -> unit
 val create : unit -> t
 
 val reset : t -> unit
-(** Drop all backing blocks and zero the statistics; observers stay. *)
+(** Drop all backing pages and zero the statistics; observers stay. *)
 
 val discard : t -> addr:int -> bytes:int -> unit
-(** Drop the backing of every whole 64 KB block inside
-    [\[addr, addr + bytes)]; those addresses read as zero again and cost
-    no host memory until written.  Partial blocks at either end keep
-    their bytes.  Emits no event: this is host-memory bookkeeping for
-    ranges the simulation will never touch again (a restarted worker's
-    dead heap). *)
+(** Drop the backing of every whole page ({!page_size}) inside
+    [\[addr, addr + bytes)], and every chunk left with no backed page;
+    those addresses read as zero again and cost no host memory until
+    written.  Partial pages at either end keep their bytes.  Emits no
+    event: this is host-memory bookkeeping for ranges the simulation will
+    never touch again (a restarted worker's dead heap). *)
 
 (** {2 Context and observers} *)
 
@@ -66,9 +72,10 @@ val set_code_observer : t -> (Access.context -> int -> unit) -> unit
 
 (** {2 Data accesses}
 
-    Addresses must be non-negative.  Multi-byte accesses must not cross a
-    64 KB block boundary (all allocator structures are 8-byte aligned, so
-    this never occurs in practice; it is enforced by assertion). *)
+    Addresses must be non-negative.  A multi-byte load or store must not
+    cross a page boundary ({!page_size}); all allocator structures are
+    8-byte aligned, so this never occurs in practice, and it is enforced by
+    assertion.  {!touch}, {!memset} and {!memcpy} may span any range. *)
 
 val load8 : t -> addr:int -> int
 
@@ -88,14 +95,19 @@ val touch : t -> kind:Access.kind -> addr:int -> bytes:int -> unit
     simulated cheaply. *)
 
 val memset : t -> addr:int -> bytes:int -> value:int -> unit
-(** Real stores (materializes backing); used e.g. by [calloc] zeroing. *)
+(** Real stores (materializes every page of the range); used e.g. to clear
+    allocator metadata.  Emits one store event per 64 KiB-aligned fragment
+    of the range. *)
 
 val memcpy : t -> dst:int -> src:int -> bytes:int -> unit
-(** Copies only bytes whose source blocks are materialized, but emits load
+(** Copies only bytes whose source pages are materialized, but emits load
     and store events for the full extent (a [realloc] copy touches every
-    line whether or not the simulator ever stored real data there).
-    Unmaterialized source ranges read as zero, exactly like {!load8}; a
-    destination block that was never materialized stays that way. *)
+    line whether or not the simulator ever stored real data there): one
+    load and one store per fragment that lies inside one 64 KiB-aligned
+    fragment of both the source and the destination.  Unmaterialized
+    source ranges read as zero, exactly like {!load8}; a destination page
+    that was never materialized stays that way when its source is
+    unbacked.  The two ranges must not overlap. *)
 
 (** {2 Instruction accounting} *)
 
@@ -108,10 +120,15 @@ val code_touch : t -> addr:int -> unit
 (** {2 Statistics} *)
 
 val backed_bytes : t -> int
-(** Total bytes of materialized backing store (real memory used). *)
+(** Total bytes of materialized pages: [page_size] times the pages
+    backed. *)
+
+val backed_chunks : t -> int
+(** Chunks (4 MiB spans) holding at least one backed page. *)
 
 val access_count : t -> int
 (** Number of access events emitted since creation/reset. *)
 
-val block_size : int
-(** Size of a backing block (64 KB). *)
+val page_size : int
+(** Size of a backing page (4 KiB): the granularity of {!discard} and the
+    span no multi-byte access may cross. *)

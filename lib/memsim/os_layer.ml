@@ -60,10 +60,14 @@ let munmap t ~owner ~addr ~bytes =
   owner.claimed <- owner.claimed - bytes
 
 (* Addresses only grow, so a retired range is never handed out again and
-   dropping its backing cannot change a simulated byte.  [claimed] is left
-   alone: consumption is byte accounting, not host memory. *)
+   dropping its backing cannot change a simulated byte.  The extent [mmap]
+   reserved is page-rounded and page-aligned, so it covers whole pages
+   that no other owner can hold.  [claimed] is left alone: consumption is
+   byte accounting, not host memory. *)
 let retire t owner =
-  List.iter (fun r -> Memory.discard t.mem ~addr:r.base ~bytes:r.bytes) owner.regions;
+  List.iter
+    (fun r -> Memory.discard t.mem ~addr:r.base ~bytes:(round_up r.bytes small_page))
+    owner.regions;
   owner.regions <- []
 
 let claimed owner = owner.claimed

@@ -32,9 +32,10 @@ val munmap : t -> owner:owner -> addr:int -> bytes:int -> unit
 
 val retire : t -> owner -> unit
 (** The owner's heap is dead (a worker restart): forget the ranges it has
-    mapped and not unmapped, and drop the host backing of every whole
-    64 KB block inside them ({!Memory.discard}).  The ranges must not be
-    touched again.  Claimed bytes, partial blocks and every simulated
+    mapped and not unmapped, and drop the host backing of every page of
+    the page-rounded extent {!mmap} reserved for each
+    ({!Memory.discard}); no other owner holds an address there.  The
+    ranges must not be touched again.  Claimed bytes and every simulated
     event are unchanged. *)
 
 val claimed : owner -> int

@@ -78,6 +78,28 @@ let gc_ok name max_mb needles =
   Alcotest.test_case name `Quick
     (with_temp_store (fun gc -> expect_ok (gc ^ max_mb) needles ()))
 
+(* The stderr summary ends with the peak RSS wherever the kernel reports
+   one, after the fields check.sh greps, and omits it elsewhere. *)
+let test_summary_peak_rss () =
+  let dir = Filename.temp_dir "mmstudy_cli" "" in
+  let rm () = ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int) in
+  Fun.protect ~finally:rm (fun () ->
+      let args =
+        Printf.sprintf "sim --scale 0.01 --cores 1 --cache-dir %s"
+          (Filename.quote dir)
+      in
+      expect_ok args [ "simulations: 1,"; "serve sims: 0," ] ();
+      let _, out = run_mmstudy args in
+      let reported =
+        match
+          Str.search_forward (Str.regexp ", peak rss: [0-9]+ MB\n") out 0
+        with
+        | _ -> true
+        | exception Not_found -> false
+      in
+      Alcotest.(check bool) "peak rss reported"
+        (Sys.file_exists "/proc/self/status") reported)
+
 let () =
   Alcotest.run "mmstudy_cli"
     [
@@ -149,5 +171,7 @@ let () =
           ok "huge duration caps the request count"
             "serve --duration 1e300 --rps 100 --scale 0.01 --no-cache -j 1"
             [ "50000 requests per point" ];
+          Alcotest.test_case "summary reports peak rss" `Quick
+            test_summary_peak_rss;
         ] );
     ]

@@ -43,7 +43,7 @@ let test_memset () =
 
 let test_memset_cross_block () =
   let mem = Memory.create () in
-  let addr = base + Memory.block_size - 10 in
+  let addr = base + Memory.page_size - 10 in
   Memory.memset mem ~addr ~bytes:20 ~value:0x42;
   Alcotest.(check int) "end of first block" 0x42 (Memory.load8 mem ~addr:(addr + 9));
   Alcotest.(check int) "start of second block" 0x42
@@ -114,7 +114,7 @@ let test_reset () =
   Alcotest.(check int) "cleared" 0 (Memory.load_word mem ~addr:base);
   Alcotest.(check int) "no backing" 0 (Memory.backed_bytes mem)
 
-let blk = Memory.block_size
+let blk = Memory.page_size
 
 (* The range covers block 0 from offset 64, blocks 1 and 2 whole and
    block 3 up to offset 128: only blocks 1 and 2 may go. *)
@@ -347,30 +347,39 @@ let test_os_claimed_accounting () =
   Os.munmap os ~owner:(own os "x") ~addr:a ~bytes:5000;
   Alcotest.(check int) "after munmap" 0 (Os.claimed_bytes os ~owner:"x[0]")
 
-(* A dead owner's range ends in the block where a live owner's range
-   starts: retiring the dead one keeps that block byte for byte. *)
-let test_os_retire_keeps_shared_block () =
+(* A dead owner's range ends 100 bytes into its fourth page, and a live
+   owner maps right after it: retiring the dead one drops all four of its
+   pages, tail included, and keeps the live owner's pages byte for byte. *)
+let test_os_retire_drops_dead_pages () =
   let mem = Memory.create () in
   let os = Os.create mem in
   let dead = own os "dead" and live = own os "live" in
   let d = Os.mmap os ~owner:dead ~bytes:((3 * blk) + 100) ~align:blk in
   let l = Os.mmap os ~owner:live ~bytes:8192 ~align:64 in
-  Alcotest.(check int) "ranges share block 3" ((d lsr 16) + 3) (l lsr 16);
+  Alcotest.(check int) "live range starts on the next page" (d + (4 * blk)) l;
   Memory.memset mem ~addr:d ~bytes:((3 * blk) + 100) ~value:0xd;
   Memory.memset mem ~addr:l ~bytes:8192 ~value:0x1;
+  Alcotest.(check int) "four dead pages and two live ones" (6 * blk)
+    (Memory.backed_bytes mem);
   let claimed = Os.total_claimed os in
   Os.retire os dead;
-  Alcotest.(check int) "whole dead blocks dropped" blk (Memory.backed_bytes mem);
+  Alcotest.(check int) "only the live pages are left" (2 * blk)
+    (Memory.backed_bytes mem);
   Alcotest.(check int) "claimed bytes unchanged" claimed (Os.total_claimed os);
-  Alcotest.(check int) "dead whole block reads zero" 0 (Memory.load8 mem ~addr:d);
-  Alcotest.(check int) "dead tail in the shared block kept" 0xd
+  for page = 0 to 3 do
+    Alcotest.(check int)
+      (Printf.sprintf "dead page %d reads zero" page)
+      0
+      (Memory.load8 mem ~addr:(d + (page * blk)))
+  done;
+  Alcotest.(check int) "the dead tail reads zero" 0
     (Memory.load8 mem ~addr:(d + (3 * blk) + 99));
   for i = 0 to 8191 do
     if Memory.load8 mem ~addr:(l + i) <> 0x1 then
       Alcotest.failf "live byte %d changed" i
   done;
   Os.retire os dead;
-  Alcotest.(check int) "a second retire drops nothing more" blk
+  Alcotest.(check int) "a second retire drops nothing more" (2 * blk)
     (Memory.backed_bytes mem)
 
 let test_os_syscall_charged_to_kernel () =
@@ -446,10 +455,160 @@ let prop_discard_matches_reference =
           Memory.load_word mem ~addr = if gone then 0 else addr)
         addrs)
 
+(* --- the page table against naive references ---
+
+   Ranges sit around 4 MiB chunk boundaries, so they cross pages and
+   chunks as well as 64 KiB fragments. *)
+
+let chunk = 1 lsl 22
+
+let fragment = 1 lsl 16
+
+(* [bytes] from [src] and [dst], cut at the 64 KiB boundaries of both. *)
+let rec fragments ~src ~dst bytes =
+  if bytes = 0 then []
+  else
+    let n =
+      Int.min bytes
+        (Int.min (fragment - (src mod fragment)) (fragment - (dst mod fragment)))
+    in
+    (src, dst, n) :: fragments ~src:(src + n) ~dst:(dst + n) (bytes - n)
+
+let recording mem =
+  let events = ref [] in
+  Memory.set_access_observer mem (fun _ kind addr bytes ->
+      events := (kind, addr, bytes) :: !events);
+  fun () -> List.rev !events
+
+(* A page-granular event split would also keep every byte right; only the
+   event stream shows it, and the cache counts follow the event stream. *)
+let prop_bulk_events_follow_fragments =
+  QCheck.Test.make ~name:"memset and memcpy events follow the 64 KiB fragment rule"
+    QCheck.(
+      quad (int_range 0 300_000) (int_range 0 300_000) (int_range 0 300_000)
+        (int_range 0 255))
+    (fun (src_back, dst_back, len, v) ->
+      let src = base + chunk - src_back and dst = base + (3 * chunk) - dst_back in
+      let mem = Memory.create () in
+      let events = recording mem in
+      Memory.memset mem ~addr:src ~bytes:len ~value:v;
+      let set = events () in
+      let events = recording mem in
+      Memory.memcpy mem ~dst ~src ~bytes:len;
+      set
+      = List.map (fun (a, _, n) -> (Access.Store, a, n)) (fragments ~src ~dst:src len)
+      && events ()
+         = List.concat_map
+             (fun (s, d, n) -> [ (Access.Load, s, n); (Access.Store, d, n) ])
+             (fragments ~src ~dst len))
+
+type op =
+  | Store8 of int * int
+  | Store_word of int * int
+  | Memset of int * int * int
+  | Memcpy of int * int * int
+  | Discard of int * int
+
+let print_op = function
+  | Store8 (a, v) -> Printf.sprintf "store8 %#x %d" a v
+  | Store_word (a, v) -> Printf.sprintf "store_word %#x %d" a v
+  | Memset (a, n, v) -> Printf.sprintf "memset %#x %d %d" a n v
+  | Memcpy (d, s, n) -> Printf.sprintf "memcpy %#x <- %#x %d" d s n
+  | Discard (a, n) -> Printf.sprintf "discard %#x %d" a n
+
+(* Addresses within 12 KiB of the start of chunks 1-4; the long discards
+   start at a chunk and empty one to three chunks. *)
+let gen_op =
+  let open QCheck.Gen in
+  let addr =
+    map2
+      (fun c off -> base + (c * chunk) + off)
+      (int_range 1 4) (int_range (-12_288) 12_288)
+  in
+  let len = int_range 0 9_000 in
+  frequency
+    [
+      (3, map2 (fun a v -> Store8 (a, v)) addr (int_bound 255));
+      (3, map2 (fun a v -> Store_word (a land lnot 7, v)) addr int);
+      (2, map3 (fun a n v -> Memset (a, n, v)) addr len (int_bound 255));
+      (2, map3 (fun d s n -> Memcpy (d, s, n)) addr addr len);
+      (1, map2 (fun a n -> Discard (a, n)) addr len);
+      (1, map2 (fun c n -> Discard (base + (c * chunk), n)) (int_range 0 4)
+            (int_range chunk (3 * chunk)));
+    ]
+
+(* The naive model: one table entry per byte ever written, plus the set of
+   backed pages, updated byte by byte in the order [Memory] documents. *)
+let run_naive ops =
+  let bytes = Hashtbl.create 4096 and pages = Hashtbl.create 64 in
+  let page a = a / Memory.page_size in
+  let get a = Option.value ~default:0 (Hashtbl.find_opt bytes a) in
+  let set a v =
+    Hashtbl.replace pages (page a) ();
+    Hashtbl.replace bytes a v
+  in
+  let apply = function
+    | Store8 (a, v) -> set a v
+    | Store_word (a, v) ->
+      for i = 0 to 7 do
+        set (a + i) ((v asr (8 * i)) land 0xff)
+      done
+    | Memset (a, n, v) ->
+      for i = 0 to n - 1 do
+        set (a + i) v
+      done
+    | Memcpy (d, s, n) ->
+      for i = 0 to n - 1 do
+        if Hashtbl.mem pages (page (s + i)) then set (d + i) (get (s + i))
+        else if Hashtbl.mem pages (page (d + i)) then set (d + i) 0
+      done
+    | Discard (a, n) ->
+      let gone p =
+        let lo = p * Memory.page_size in
+        lo >= a && lo + Memory.page_size <= a + n
+      in
+      Hashtbl.filter_map_inplace (fun p () -> if gone p then None else Some ()) pages;
+      Hashtbl.filter_map_inplace (fun b v -> Some (if gone (page b) then 0 else v)) bytes
+  in
+  List.iter apply ops;
+  (get, bytes, pages)
+
+let overlaps = function
+  | Memcpy (d, s, n) -> n > 0 && d < s + n && s < d + n
+  | _ -> false
+
+let prop_table_matches_naive =
+  QCheck.Test.make ~name:"page table matches a naive byte map" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let ops = List.filter (fun op -> not (overlaps op)) ops in
+      let mem = Memory.create () in
+      List.iter
+        (function
+          | Store8 (addr, value) -> Memory.store8 mem ~addr ~value
+          | Store_word (addr, value) -> Memory.store_word mem ~addr ~value
+          | Memset (addr, bytes, value) -> Memory.memset mem ~addr ~bytes ~value
+          | Memcpy (dst, src, bytes) -> Memory.memcpy mem ~dst ~src ~bytes
+          | Discard (addr, bytes) -> Memory.discard mem ~addr ~bytes)
+        ops;
+      let get, written, pages = run_naive ops in
+      let chunks = Hashtbl.create 8 in
+      Hashtbl.iter
+        (fun p () -> Hashtbl.replace chunks (p * Memory.page_size / chunk) ())
+        pages;
+      Hashtbl.fold
+        (fun a _ ok -> ok && Memory.load8 mem ~addr:a = get a)
+        written true
+      && Memory.backed_bytes mem = Hashtbl.length pages * Memory.page_size
+      && Memory.backed_chunks mem = Hashtbl.length chunks)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_memset_matches_reference; prop_memcpy_matches_reference;
-      prop_word_roundtrip; prop_discard_matches_reference ]
+      prop_word_roundtrip; prop_discard_matches_reference;
+      prop_bulk_events_follow_fragments; prop_table_matches_naive ]
 
 let () =
   Alcotest.run "mm_memsim"
@@ -492,8 +651,8 @@ let () =
         [
           Alcotest.test_case "mmap alignment" `Quick test_os_mmap_alignment_and_disjoint;
           Alcotest.test_case "claimed accounting" `Quick test_os_claimed_accounting;
-          Alcotest.test_case "retire keeps shared block" `Quick
-            test_os_retire_keeps_shared_block;
+          Alcotest.test_case "retire drops dead pages" `Quick
+            test_os_retire_drops_dead_pages;
           Alcotest.test_case "syscall to kernel" `Quick test_os_syscall_charged_to_kernel;
         ] );
       ("properties", qcheck_cases);

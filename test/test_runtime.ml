@@ -187,7 +187,7 @@ let test_restart_retires_backing () =
       (* A Ruby transaction frees what it allocates, so the heap is a few
          blocks; one written 512 KB object makes the dead heap outweigh
          whatever the fresh allocator maps. *)
-      let bytes = 8 * Mm_memsim.Memory.block_size in
+      let bytes = 128 * Mm_memsim.Memory.page_size in
       let big = (Mm_runtime.Process.handle p).Core.Allocator.h_malloc ~size:bytes in
       Mm_memsim.Memory.memset mem ~addr:big ~bytes ~value:0xff;
       let backed = Mm_memsim.Memory.backed_bytes mem in
@@ -201,7 +201,7 @@ let test_restart_retires_backing () =
         true (after < backed);
       Alcotest.(check int) (name ^ ": dead object reads zero") 0
         (Mm_memsim.Memory.load_word mem
-           ~addr:(big + (4 * Mm_memsim.Memory.block_size)));
+           ~addr:(big + (64 * Mm_memsim.Memory.page_size)));
       (* The fresh allocator adds its own start-up mappings, nothing more
          and nothing less. *)
       let fresh =
