@@ -6,6 +6,7 @@ module E = Mm_runtime.Engine
 module F = Mm_runtime.Alloc_factory
 module M = Mm_cachesim.Machine
 module P = Mm_cachesim.Perf_model
+module Pd = Mm_experiments.Paper_data
 module S = Mm_workload.Spec
 
 let scale = try float_of_string Sys.argv.(1) with _ -> 0.25
@@ -14,18 +15,13 @@ let only = try Some Sys.argv.(2) with _ -> None
 
 let selected name = match only with None -> true | Some n -> n = name
 
-(* Table 4: default allocator, one core, Xeon. *)
+(* Table 4: default allocator, one core, Xeon; then Rails, whose run
+   uses glibc. *)
 let targets =
-  [
-    ("mediawiki-ro", 25.3);
-    ("mediawiki-rw", 11.7);
-    ("sugarcrm", 19.4);
-    ("ez-publish", 28.5);
-    ("phpbb", 62.6);
-    ("cakephp", 28.3);
-    ("specweb", 188.6);
-    ("rails", 8.0);
-  ]
+  List.map
+    (fun (r : Pd.table4_row) -> (r.Pd.workload, r.Pd.default_.Pd.one_core))
+    Pd.table4_xeon
+  @ [ ("rails", Pd.rails_glibc_one_core_xeon) ]
 
 let run_with spec ~kind ~cores ~app_instr =
   let spec = { spec with S.app_instr_per_op = app_instr } in

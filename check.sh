@@ -9,7 +9,7 @@
 # policy-heavy run matching its committed golden digest), a
 # fault-injection gate (injected faults must not
 # change a single output byte, the chaos drills must pass, and the store
-# suite must pass with injection armed), and a
+# suite must pass with injection armed), a benchmark self-test, and a
 # perf smoke that times one small experiment and one serving sweep so
 # hot-path regressions show up in CI logs.
 set -eu
@@ -211,6 +211,13 @@ echo "== fault-hardened store suite under env injection =="
 MM_FAULT_SEED=42 $TO ./_build/default/test/test_store.exe > /dev/null 2>&1 \
   || { echo "FAIL: test_store under MM_FAULT_SEED=42" >&2; exit 1; }
 echo "test_store passes with injection armed."
+
+echo "== benchmark self-test: perfbench builds and every workload runs =="
+# Nothing above builds perfbench/ (its own release build directory), so a
+# lib API change that breaks perfbench/main.ml would otherwise show only
+# as a failed benchmark run.  Every workload runs at a tiny size, untraced
+# and traced, and must emit every declared metric and pass its checks.
+$TO python3 perfbench/run.py --self-test
 
 echo "== perf smoke: run fig1 and a serve sweep, -j 1, no cache (wall-clock) =="
 # Not a pass/fail gate — timing on shared CI boxes is too noisy for that —

@@ -1,12 +1,24 @@
 (** One set-associative, write-back, write-allocate cache level.
 
-    Addresses are presented pre-shifted as line numbers; LRU replacement;
-    dirty bits drive writeback accounting.  The hot path allocates nothing:
-    results are bare constructors and victim information is read back
-    through {!victim_line}/{!victim_dirty} instead of a boxed [Miss]
-    payload, and an MRU-way hint per set short-circuits the way scan on
-    the common repeated-line case (results are identical with or without
-    the hint — it only skips work). *)
+    Addresses are presented pre-shifted as line numbers; replacement is
+    exact LRU; dirty bits drive writeback accounting.
+
+    {b Set state.}  Each set keeps a circular doubly linked recency list
+    of its ways, one byte per link, so a hit moves its way to the head
+    and a miss takes the LRU way in constant time: no age stamps, no
+    victim scan.  The head is the MRU way; there is no separate MRU hint.
+    Each way holds one packed tag word, [line lsl 2 lor dirty lsl 1 lor
+    prefetched]; an empty way holds the word of line [-1], clean.
+
+    {b Tie rule.}  {!create} and {!flush} order every list from way
+    [ways - 1] (MRU) down to way 0 (LRU), so ways untouched since then
+    are taken lowest index first.  Results, victims and dirty bits are
+    exactly those of an age-stamped LRU whose victim scan takes the
+    lowest-index way among the oldest.
+
+    The hot path allocates nothing: results are bare constructors and
+    victim information is read back through {!victim_line}/
+    {!victim_dirty} instead of a boxed [Miss] payload. *)
 
 type t
 
@@ -20,8 +32,12 @@ type result =
       (** line filled; victim described by {!victim_line}/{!victim_dirty}
           until the next access *)
 
+val max_ways : int
+(** 256: a set's way indices are stored one byte each. *)
+
 val create : sets:int -> ways:int -> t
-(** [sets] must be a power of two. *)
+(** [sets] must be a power of two and [ways] in [1..max_ways]; raises
+    [Invalid_argument] otherwise. *)
 
 val access : t -> line:int -> store:bool -> result
 (** Reference a line; on miss the line is filled (and marked dirty if

@@ -122,7 +122,8 @@ let create_group ~machine ~active_cores ~large_page_heap =
   (* Allocated in the order a one-L2 system has always allocated its
      arrays (counters, prefetcher, D-TLB, L2, L1D, L1I): the host
      allocator's high-water mark depends on the order of these large
-     blocks. *)
+     blocks, the largest being each L2's tag array (one word per line)
+     and its two link arrays (one byte per line each). *)
   let ev = Events.create () in
   let pf =
     Prefetcher.create ~streams:m.Machine.prefetch_streams

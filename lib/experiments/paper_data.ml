@@ -41,6 +41,8 @@ let table4_niagara =
     row "specweb" (115.5, 699.3) (118.3, 705.4) (118.4, 709.2);
   ]
 
+let rails_glibc_one_core_xeon = 8.0
+
 let find_row ~machine ~workload =
   let rows =
     match machine with

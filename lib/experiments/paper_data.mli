@@ -18,6 +18,11 @@ val table4_xeon : table4_row list
 
 val table4_niagara : table4_row list
 
+val rails_glibc_one_core_xeon : float
+(** 8.0 transactions/second: the one-core Xeon glibc throughput that
+    [bin/calibrate.ml] fits the Rails workload to.  Table 4 has no Rails
+    row, so this target is not one of its cells. *)
+
 val find_row : machine:string -> workload:string -> table4_row option
 
 val speedup : alloc_row -> float

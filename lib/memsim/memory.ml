@@ -198,21 +198,24 @@ let store8 t ~addr ~value =
     (addr land page_mask)
     (Char.unsafe_chr (value land 0xff))
 
-(* Int-native 64-bit words, assembled from 16-bit halves so neither side
-   ever boxes an Int64: the stored bytes are the sign-extended
+(* Int-native 64-bit words in one unaligned access each.  The primitives
+   are compiled inline, so with [Int64.to_int]/[Int64.of_int] around them
+   no [Int64] is ever boxed.  The stored bytes are the sign-extended
    little-endian 64-bit pattern, and loads return the value modulo 2^63
    exactly as [Int64.to_int] would. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let[@inline] get_word b off =
-  Bytes.get_uint16_le b off
-  lor (Bytes.get_uint16_le b (off + 2) lsl 16)
-  lor (Bytes.get_uint16_le b (off + 4) lsl 32)
-  lor (Bytes.get_uint16_le b (off + 6) lsl 48)
+  let v = get64u b off in
+  Int64.to_int (if Sys.big_endian then bswap64 v else v)
 
 let[@inline] set_word b off v =
-  Bytes.set_uint16_le b off (v land 0xffff);
-  Bytes.set_uint16_le b (off + 2) ((v asr 16) land 0xffff);
-  Bytes.set_uint16_le b (off + 4) ((v asr 32) land 0xffff);
-  Bytes.set_uint16_le b (off + 6) ((v asr 48) land 0xffff)
+  let v = Int64.of_int v in
+  set64u b off (if Sys.big_endian then bswap64 v else v)
 
 let load_word t ~addr =
   check_addr addr 8;

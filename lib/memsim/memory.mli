@@ -27,8 +27,8 @@
     lookup goes through a one-entry last-page cache and then a one-entry
     last-chunk cache (and a preallocated [Not_found] instead of an
     allocating [find_opt] when both miss), and {!load_word}/{!store_word}
-    assemble native [int]s without [Int64] boxing.  Billions of events per
-    experiment ride on this path. *)
+    move a native [int] in one 64-bit access whose [Int64] never boxes.
+    Billions of events per experiment ride on this path. *)
 
 type t
 

@@ -189,6 +189,14 @@ module Slow_cache = struct
       t.prefetched.(slot) <- true;
       Cache.Miss
     end
+
+  let contains t ~line = find t (line land t.set_mask) line >= 0
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.age 0 (Array.length t.age) 0;
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    Array.fill t.prefetched 0 (Array.length t.prefetched) false
 end
 
 let prop_mru_fast_path_matches_slow_path =
@@ -216,6 +224,105 @@ let prop_mru_fast_path_matches_slow_path =
             && Cache.victim_dirty fast = slow.Slow_cache.victim_dirty
           | Cache.Hit | Cache.Hit_prefetched -> true)
         ops)
+
+(* The recency-list cache against the age-scan model on every geometry
+   the machines use (1 to 16 ways, up to 64 sets), with flushes and
+   [mark_mru_dirty].  The latter is applied only where its contract
+   holds: the previous operation was an access to that line (or another
+   [mark_mru_dirty] of it), so in the model it is a repeated store. *)
+type cache_op =
+  | Op_access of int * bool
+  | Op_insert of int
+  | Op_mark_dirty
+  | Op_flush
+
+let cache_ops_gen =
+  let open QCheck.Gen in
+  let* ways = oneofl [ 1; 2; 4; 8; 12; 16 ] in
+  let* sets = map (fun k -> 1 lsl k) (int_range 0 6) in
+  let lines = 3 * sets * ways in
+  let op =
+    frequency
+      [
+        (12, map2 (fun l st -> Op_access (l, st)) (int_bound lines) bool);
+        (4, map (fun l -> Op_insert l) (int_bound lines));
+        (3, return Op_mark_dirty);
+        (1, return Op_flush);
+      ]
+  in
+  let+ ops = list_size (int_range 50 400) op in
+  (sets, ways, ops)
+
+let print_cache_ops (sets, ways, ops) =
+  Printf.sprintf "sets=%d ways=%d [%s]" sets ways
+    (String.concat "; "
+       (List.map
+          (function
+            | Op_access (l, st) -> Printf.sprintf "A%d%s" l (if st then "w" else "")
+            | Op_insert l -> Printf.sprintf "I%d" l
+            | Op_mark_dirty -> "M"
+            | Op_flush -> "F")
+          ops))
+
+let prop_list_lru_matches_age_scan =
+  QCheck.Test.make ~name:"recency-list LRU matches age-scan model" ~count:300
+    (QCheck.make ~print:print_cache_ops cache_ops_gen)
+    (fun (sets, ways, ops) ->
+      let fast = Cache.create ~sets ~ways in
+      let slow = Slow_cache.create ~sets ~ways in
+      let same rf rs =
+        rf = rs
+        &&
+        match rf with
+        | Cache.Miss ->
+          Cache.victim_line fast = slow.Slow_cache.victim_line
+          && Cache.victim_dirty fast = slow.Slow_cache.victim_dirty
+        | Cache.Hit | Cache.Hit_prefetched -> true
+      in
+      (* The line of the last access while [mark_mru_dirty]'s contract
+         holds for it, or -1. *)
+      let last = ref (-1) in
+      let step = function
+        | Op_access (line, store) ->
+          last := line;
+          same (Cache.access fast ~line ~store) (Slow_cache.access slow ~line ~store)
+        | Op_insert line ->
+          last := -1;
+          same (Cache.insert fast ~line) (Slow_cache.insert slow ~line)
+        | Op_mark_dirty ->
+          let line = !last in
+          line < 0
+          || begin
+            Cache.mark_mru_dirty fast ~line;
+            Slow_cache.access slow ~line ~store:true = Cache.Hit
+          end
+        | Op_flush ->
+          last := -1;
+          Cache.flush fast;
+          Slow_cache.flush slow;
+          true
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun line -> Cache.contains fast ~line = Slow_cache.contains slow ~line)
+           (List.init (3 * sets * ways) Fun.id))
+
+(* Way indices are stored one byte each: 256 ways work, 257 are refused. *)
+let test_cache_way_limit () =
+  Alcotest.(check int) "limit" 256 Cache.max_ways;
+  let c = Cache.create ~sets:1 ~ways:Cache.max_ways in
+  for line = 0 to Cache.max_ways - 1 do
+    ignore (Cache.access c ~line ~store:(line = 0))
+  done;
+  ignore (Cache.access c ~line:0 ~store:false);
+  (match Cache.access c ~line:Cache.max_ways ~store:false with
+  | Cache.Miss ->
+    Alcotest.(check int) "evicts the LRU way" 1 (Cache.victim_line c);
+    Alcotest.(check bool) "clean" false (Cache.victim_dirty c)
+  | Cache.Hit | Cache.Hit_prefetched -> Alcotest.fail "expected miss");
+  Alcotest.check_raises "257 ways"
+    (Invalid_argument "Cache.create: ways must be in 1..256") (fun () ->
+      ignore (Cache.create ~sets:1 ~ways:(Cache.max_ways + 1)))
 
 (* --- TLB --- *)
 
@@ -723,6 +830,7 @@ let prop_tlb_hit_after_install =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cache_matches_reference; prop_mru_fast_path_matches_slow_path;
+      prop_list_lru_matches_age_scan;
       prop_perf_model_consistent; prop_prefetched_hit_reported_once;
       prop_tlb_hit_after_install; prop_tlb_matches_scan_model ]
 
@@ -737,6 +845,7 @@ let () =
           Alcotest.test_case "prefetched flag" `Quick test_cache_prefetched_flag;
           Alcotest.test_case "contains neutral" `Quick test_cache_contains_no_lru_disturb;
           Alcotest.test_case "flush" `Quick test_cache_flush;
+          Alcotest.test_case "way limit" `Quick test_cache_way_limit;
         ] );
       ( "tlb",
         [

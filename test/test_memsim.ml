@@ -194,6 +194,35 @@ let test_touch_allocates_nothing () =
   Alcotest.(check (float 0.0))
     "minor words allocated by the access hot path" 0.0 (after -. before)
 
+(* The same contract for the real loads and stores allocators make: word
+   and byte accesses through the page table, cache system attached. *)
+let test_word_access_allocates_nothing () =
+  let mem = Memory.create () in
+  let cs =
+    Mm_cachesim.Cache_system.create ~machine:Mm_cachesim.Machine.xeon
+      ~active_cores:8 ~large_page_heap:false
+  in
+  Mm_cachesim.Cache_system.attach cs mem;
+  let n = 50_000 in
+  let sum = ref 0 in
+  let run () =
+    for i = 1 to n do
+      let addr = base + (i * 8161 land 0xFFFF8) in
+      Memory.store_word mem ~addr ~value:(i - (n / 2));
+      sum := !sum + Memory.load_word mem ~addr:(addr lxor 0x40);
+      Memory.store8 mem ~addr:(addr + 3) ~value:i;
+      sum := !sum + Memory.load8 mem ~addr:(addr + 5)
+    done
+  in
+  run () (* warm up: materialize pages, fill caches, stabilize *);
+  let before = Gc.minor_words () in
+  run ();
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) "loads happened" true (!sum <> 0);
+  Alcotest.(check (float 0.0))
+    "minor words allocated by load_word, store_word, load8, store8" 0.0
+    (after -. before)
+
 (* The generator's draws and a steady-state workload step.  [Rng] keeps
    its state unboxed, so integer and boolean draws allocate nothing.  A
    php-default [Process.step] allocates nothing in a release build; the
@@ -429,14 +458,22 @@ let prop_memcpy_matches_reference =
       done;
       !ok)
 
+(* Any int, the extremes included, reads back unchanged, and its 8 bytes
+   are the sign-extended little-endian 64-bit pattern. *)
 let prop_word_roundtrip =
   QCheck.Test.make ~name:"store_word/load_word roundtrip"
-    QCheck.(pair (int_range 0 1000) (int_bound max_int))
+    QCheck.(
+      pair (int_range 0 1000)
+        (oneof [ int; oneofl [ min_int; max_int; -1; 0; 1 ] ]))
     (fun (slot, v) ->
       let mem = Memory.create () in
       let addr = base + (slot * 8) in
       Memory.store_word mem ~addr ~value:v;
-      Memory.load_word mem ~addr = v)
+      Memory.load_word mem ~addr = v
+      && List.for_all
+           (fun i ->
+             Memory.load8 mem ~addr:(addr + i) = (v asr (8 * i)) land 0xff)
+           (List.init 8 Fun.id))
 
 (* Words spread over 8 blocks, one discard: a word reads back zero exactly
    when its whole block lies inside the discarded range. *)
@@ -642,6 +679,8 @@ let () =
           Alcotest.test_case "code observer" `Quick test_code_observer;
           Alcotest.test_case "access count" `Quick test_access_count;
           Alcotest.test_case "zero allocation" `Quick test_touch_allocates_nothing;
+          Alcotest.test_case "word and byte access allocate nothing" `Quick
+            test_word_access_allocates_nothing;
           Alcotest.test_case "rng draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
           Alcotest.test_case "process step allocation" `Quick
